@@ -4,13 +4,13 @@ Plain broadcast repeats each symbol on every channel; with at most t rewrites
 the sent value is the only one that can appear n - t times, so majority
 decoding is exact.  Generalized broadcast packs m+1 symbols per transmission
 as a codeword of an [n, m+1] code; a receiver who can already point at m (or
-more) corrupted channels erases them and unique-decodes the punctured code,
-whose radius covers every remaining in-model error.
+more) corrupted channels decodes with those channels erased, and the
+errors-and-erasures radius covers every remaining in-model error.
 """
 
 import numpy as np
 
-from . import gf, mds
+from . import gf
 from .channels import ProtocolViolation
 
 
@@ -56,12 +56,13 @@ def gen_broadcast_encode(code, symbols):
     return code.encode(symbols.reshape(-1, k))
 
 
-def gen_broadcast_decode(code, t, arrays, known_bad, cache=None):
+def gen_broadcast_decode(code, t, arrays, known_bad):
     """Recover the packed payload given at least m known corrupted channels.
 
     known_bad may list more than m channels (never more than t); they are all
-    erased, and the punctured [n-s, m+1] code still unique-decodes the at most
-    t-s errors that can remain.  Returns the flat payload including padding.
+    erased, and the at most t-s errors that can remain are within the
+    errors-and-erasures radius of the code.  Returns the flat payload
+    including padding.
     """
     f = code.field
     n, m = code.n, code.k - 1
@@ -72,19 +73,13 @@ def gen_broadcast_decode(code, t, arrays, known_bad, cache=None):
     if s > t:
         raise ProtocolViolation("more than t channels flagged as corrupted")
     arrays = np.asarray(arrays, dtype=np.int64)
-    keep = [i for i in range(n) if i not in known_bad]
     if m == 0:
+        keep = [i for i in range(n) if i not in known_bad]
         return broadcast_decode(arrays, t, keep=keep)
-    key = (code.n, code.k, tuple(known_bad))
-    punct = cache.get(key) if cache is not None else None
-    if punct is None:
-        punct = mds.ReedSolomonCode(n - s, code.k, f, points=code.points[keep])
-        if cache is not None:
-            cache[key] = punct
-    X, _, ok = punct.unique_decode_batch(arrays[:, keep])
+    X, _, ok = code.unique_decode_batch(arrays, erasures=known_bad)
     if not np.all(ok):
         raise ProtocolViolation("generalized broadcast failed to decode")
-    msgs = gf.mat_mul(f, X[:, : code.k], _msg_matrix(punct))
+    msgs = gf.mat_mul(f, X[:, : code.k], _msg_matrix(code))
     return msgs.reshape(-1)
 
 

@@ -134,10 +134,7 @@ def _classical_spec(spec):
     if n != 2 * t + 1:
         raise SpecError("n must equal 2t+1 (got n=%d, t=%d)" % (n, t))
     q = spec.q if spec.q else gf.next_prime_above(n)
-    f = _field_from_order(q)
-    if f.q <= n:
-        raise SpecError("field order %d must exceed n=%d" % (f.q, n))
-    return SessionParams(n, t, spec.l, f)
+    return SessionParams(n, t, spec.l, _field_from_order(q))
 
 
 def _rank_spec(spec):
@@ -415,8 +412,8 @@ def build_parser():
     p.add_argument("--l", type=int, default=1, help="secrets per session")
     p.add_argument("--q", type=int, default=0,
                    help="field order, default smallest prime above n; any "
-                        "prime power above n works (rank: base prime, "
-                        "default 2)")
+                        "prime power above n+1 works, primes below 2^31 "
+                        "(rank: base prime, default 2)")
     p.add_argument("--m", type=int, default=0,
                    help="rank only: extension degree, default n+1")
     p.add_argument("--adversary", default="passive",

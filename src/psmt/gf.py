@@ -163,7 +163,12 @@ class PrimeField(_FieldBase):
     def __init__(self, p):
         if not is_prime(p):
             raise ValueError("modulus %d is not prime" % p)
+        if p >= 1 << 31:
+            raise ValueError("prime %d is too large: products of elements must "
+                             "fit in int64, so p < 2^31" % p)
         self.p = p
+        # how many products of two elements an int64 sum holds
+        self.chunk = (2**63 - 1) // max((p - 1) ** 2, 1)
         self.q = p
         self.deg = 1
         if p <= 1 << 20:
@@ -212,9 +217,16 @@ class PrimeField(_FieldBase):
         return np.array(flat, dtype=np.int64).reshape(a.shape)
 
     def vdot(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        return np.einsum("...i,...i->...", a % self.p, b % self.p) % self.p
+        a = np.asarray(a, dtype=np.int64) % self.p
+        b = np.asarray(b, dtype=np.int64) % self.p
+        c = self.chunk
+        if a.shape[-1] <= c:
+            return np.einsum("...i,...i->...", a, b) % self.p
+        out = 0
+        for i in range(0, a.shape[-1], c):
+            part = np.einsum("...i,...i->...", a[..., i : i + c], b[..., i : i + c])
+            out = (out + part % self.p) % self.p
+        return out
 
     def __repr__(self):
         return "F_%d" % self.p
@@ -586,7 +598,13 @@ def mat_mul(f, A, B):
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if isinstance(f, PrimeField):
-        return (A @ B) % f.p
+        c = f.chunk
+        if A.shape[1] <= c:
+            return (A @ B) % f.p
+        out = f.zeros((A.shape[0], B.shape[1]))
+        for i in range(0, A.shape[1], c):
+            out = (out + (A[:, i : i + c] @ B[i : i + c]) % f.p) % f.p
+        return out
     out = f.zeros((A.shape[0], B.shape[1]))
     for i in range(A.shape[1]):
         out = f.vadd(out, f.vmul(A[:, i : i + 1], B[i : i + 1, :]))

@@ -34,12 +34,11 @@ class ReedSolomonCode:
         self.points = points
         self.d = n - k + 1
         self.radius = (n - k) // 2
-        # pow_table[i, j] = points[i]^j
-        pt = f.zeros((n, n))
+        # pt[i, j] = points[i]^j, as far as the generator and parity rows need
+        pt = f.zeros((n, max(k, n - k)))
         pt[:, 0] = 1
-        for j in range(1, n):
+        for j in range(1, pt.shape[1]):
             pt[:, j] = f.vmul(pt[:, j - 1], points)
-        self.pow_table = pt
         self.G = pt[:, :k].T.copy()
         # dual GRS column multipliers
         diffs = f.vsub(points[:, None], points[None, :])
@@ -50,6 +49,17 @@ class ReedSolomonCode:
             u = f.vmul(u, diffs[:, j])
         self.dual_mult = f.vinv(u)
         self.H = f.vmul(self.dual_mult[None, :], pt[:, : n - k].T)
+        # decoder tables: inv_pow[i, j] = points[i]^-j for the Chien search
+        # and Forney's formula, -points[i] / dual_mult[i] for the errata
+        # values, and j mod p for the formal derivative of x^j
+        ip = f.zeros((n, n - k + 1))
+        ip[:, 0] = 1
+        pinv = f.vinv(points)
+        for j in range(1, n - k + 1):
+            ip[:, j] = f.vmul(ip[:, j - 1], pinv)
+        self.inv_pow = ip
+        self.forney_mult = f.vneg(f.vmul(points, u))
+        self.deriv_mult = np.arange(1, n - k + 1, dtype=np.int64) % f.p
         if n - k > 0 and np.any(gf.mat_mul(f, self.G, self.H.T)):
             raise AssertionError("parity check does not annihilate the code")
 
@@ -90,49 +100,95 @@ class ReedSolomonCode:
             return None
         return X[0], E[0]
 
-    def unique_decode_batch(self, Y):
-        """Vectorized unique decoding: returns (codewords, errors, ok mask)."""
+    def unique_decode_batch(self, Y, erasures=()):
+        """Vectorized unique decoding from syndromes: (codewords, errors, ok).
+
+        A word decodes when some codeword differs from it, outside the erased
+        positions, in at most (n - k - s) // 2 places, s = len(erasures); the
+        erased symbols are then restored too.  Berlekamp-Massey on the
+        erasure-modified syndromes gives the error locator, a Chien search
+        its roots, and Forney's formula the errata values.
+        """
         f = self.field
         Y = np.asarray(Y, dtype=np.int64)
-        nb = Y.shape[0]
-        n, k, fr = self.n, self.k, self.radius
+        n, r = self.n, self.n - self.k
+        erased = np.zeros(n, dtype=bool)
+        erased[list(erasures)] = True
+        s = int(erased.sum())
+        if s > r:
+            raise ValueError("%d erasures exceed the %d parity symbols" % (s, r))
+        radius = (r - s) // 2
         X = Y.copy()
         E = f.zeros(Y.shape)
         syn = self.syndrome(Y)
-        clean = ~np.any(syn != 0, axis=1) if syn.shape[1] else np.ones(nb, dtype=bool)
-        ok = clean.copy()
-        todo = np.nonzero(~clean)[0]
-        if fr == 0 or todo.size == 0:
+        ok = ~np.any(syn != 0, axis=1)
+        todo = np.nonzero(~ok)[0]
+        if todo.size == 0:
             return X, E, ok
-        # Welch-Berlekamp: find Q (deg < k+fr) and monic E (deg fr) with
-        # Q(p_i) = y_i * E(p_i); then the codeword polynomial is Q / E.
-        Yt = Y[todo]
-        m = todo.size
-        left = np.broadcast_to(self.pow_table[None, :, : k + fr], (m, n, k + fr))
-        right = f.vmul(f.vneg(Yt)[:, :, None], self.pow_table[None, :, :fr])
-        A = np.concatenate([left, right], axis=2)
-        b = f.vmul(Yt, self.pow_table[None, :, fr])
-        sol, solvable = gf.solve_batched(f, A, b)
-        Q = sol[:, : k + fr]
-        Elow = sol[:, k + fr :]
-        # divide Q by the monic E via synthetic division
-        rem = Q.copy()
-        quot = f.zeros((m, k))
-        for d in range(k - 1, -1, -1):
-            c = rem[:, d + fr].copy()
-            quot[:, d] = c
-            rem[:, d : d + fr] = f.vsub(rem[:, d : d + fr], f.vmul(c[:, None], Elow))
-            rem[:, d + fr] = 0
-        divides = ~np.any(rem[:, :fr] != 0, axis=1)
-        cand = self.encode(quot)
-        err = f.vsub(Yt, cand)
-        close = np.count_nonzero(err, axis=1) <= fr
-        good = solvable & divides & close
+        S = syn[todo]
+        nsyn = s + 2 * radius
+        # erasure locator Gamma(x) = prod (1 - p_j x) and modified syndromes
+        gamma = f.zeros((1, s + 1))
+        gamma[0, 0] = 1
+        for point in self.points[erased]:
+            gamma[:, 1:] = f.vsub(gamma[:, 1:], f.vmul(point, gamma[:, :-1]))
+        xi = _poly_mul(f, gamma, S, nsyn)
+        lam, deg = _berlekamp_massey(f, xi[:, s:])
+        lam = lam[:, : radius + 1]
+        # Chien search over the positions that are not erased
+        roots = (gf.mat_mul(f, lam, self.inv_pow[:, : radius + 1].T) == 0) & ~erased
+        # Forney, with errata locator Psi = Lambda * Gamma and evaluator
+        # Omega = Psi * S mod x^nsyn: on the errata,
+        # e_i = -p_i * Omega(1/p_i) / (Psi'(1/p_i) * dual_mult[i])
+        psi = _poly_mul(f, lam, gamma, radius + s + 1)
+        omega = _poly_mul(f, lam, xi, nsyn)
+        dpsi = f.vmul(psi[:, 1:], self.deriv_mult[None, : radius + s])
+        num = gf.mat_mul(f, omega, self.inv_pow[:, :nsyn].T)
+        den = gf.mat_mul(f, dpsi, self.inv_pow[:, : radius + s].T)
+        den[den == 0] = 1  # on an erratum only in words the checks refuse
+        err = f.vmul(self.forney_mult, f.vmul(num, f.vinv(den)))
+        err[~(roots | erased)] = 0
+        # the last two checks alone make any accepted word a correct decode
+        good = roots.sum(axis=1) == deg
+        good &= np.count_nonzero(err[:, ~erased], axis=1) <= radius
+        good &= ~np.any(self.syndrome(err) != S, axis=1)
         sel = todo[good]
-        X[sel] = cand[good]
         E[sel] = err[good]
+        X[sel] = f.vsub(Y[sel], E[sel])
         ok[sel] = True
         return X, E, ok
+
+
+def _poly_mul(f, a, b, size):
+    """Row-wise products of the polynomials a and b (coefficient arrays,
+    constant term first), truncated to their first size coefficients."""
+    out = f.zeros((max(a.shape[0], b.shape[0]), size))
+    for i in range(min(a.shape[1], size)):
+        w = min(b.shape[1], size - i)
+        out[:, i : i + w] = f.vadd(out[:, i : i + w], f.vmul(a[:, i : i + 1], b[:, :w]))
+    return out
+
+
+def _berlekamp_massey(f, S):
+    """Shortest linear recurrence of each row of S: connection polynomials
+    (constant term 1, one column per coefficient) and their lengths."""
+    m, N = S.shape
+    C = f.zeros((m, N + 1))
+    C[:, 0] = 1
+    B = f.zeros((m, N + 1))  # x^shift times the last connection polynomial
+    B[:, 1:2] = 1  # x, or nothing when N = 0
+    L = np.zeros(m, dtype=np.int64)
+    b = np.ones(m, dtype=np.int64)
+    for i in range(N):
+        d = f.vdot(C[:, : i + 1], S[:, i::-1])
+        grow = (d != 0) & (2 * L <= i)
+        prev = C
+        C = f.vsub(C, f.vmul(f.vmul(d, f.vinv(b))[:, None], B))
+        B = np.where(grow[:, None], prev, B)
+        B = np.concatenate([f.zeros((m, 1)), B[:, :-1]], axis=1)
+        L = np.where(grow, i + 1 - L, L)
+        b = np.where(grow, d, b)
+    return C, L
 
 
 def rs_build(n, k, f, points=None):

@@ -47,12 +47,14 @@ class SessionParams:
             raise ValueError("need n = 2t+1 with t >= 1, got n=%d t=%d" % (self.n, self.t))
         if self.l < 1:
             raise ValueError("need at least one secret, got l=%d" % self.l)
-        if self.field.q <= self.n:
-            raise ValueError("field order %d must exceed n=%d" % (self.field.q, self.n))
+        if self.field.q <= self.n + 1:
+            raise ValueError("field order %d must exceed n+1=%d: the privacy pair "
+                             "needs n+1 distinct nonzero evaluation points"
+                             % (self.field.q, self.n + 1))
 
 
 class ProtocolContext:
-    """Codes and caches reused across runs with identical parameters."""
+    """Codes reused across runs with identical parameters."""
 
     def __init__(self, params):
         self.params = params
@@ -60,7 +62,6 @@ class ProtocolContext:
         self.code = self.pair.code
         self.m_syn = (params.t + 1) // 2
         self._bcast = {}
-        self.punct_cache = {}
 
     def bcast_code(self, m):
         if m not in self._bcast:
@@ -124,6 +125,19 @@ def _session(params, adversary, record_transcript):
     return ChannelSession(bundle, adversary, record_transcript)
 
 
+def _round_one_words(code, num_words, rng, bob_words):
+    """Bob's round-one codewords: the given ones, or fresh random ones."""
+    if bob_words is None:
+        if rng is None:
+            rng = np.random.default_rng()
+        return code.random_codeword(rng, num_words)
+    X = np.asarray(bob_words, dtype=np.int64)
+    if X.shape != (num_words, code.n):
+        raise ValueError("expected bob_words of shape (%d, %d), got %s"
+                         % (num_words, code.n, X.shape))
+    return X
+
+
 def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
               context=None, record_transcript=False):
     """The plain two-round protocol: pseudo-basis words broadcast in full."""
@@ -138,12 +152,7 @@ def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
     width = _index_width(num_words, f.q)
 
     # round 1: Bob -> Alice
-    if bob_words is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        X = code.random_codeword(rng, num_words)
-    else:
-        X = np.asarray(bob_words, dtype=np.int64)
+    X = _round_one_words(code, num_words, rng, bob_words)
     Y = session.transmit(BOB_TO_ALICE, X, PHASE_ROUND1)
 
     # round 2: Alice broadcasts everything
@@ -301,8 +310,7 @@ def receive_pseudo_basis_fast(ctx, delivered, originals, width):
         raise ProtocolViolation("special word exposes too few corrupted channels")
     if len(bad) > t:
         raise ProtocolViolation("special word exposes more than t channels")
-    flat = broadcast.gen_broadcast_decode(ctx.bcast_code(m), t, delivered["blocks"],
-                                          bad, cache=ctx.punct_cache)
+    flat = broadcast.gen_broadcast_decode(ctx.bcast_code(m), t, delivered["blocks"], bad)
     per_word = -(-n // (m + 1)) * (m + 1)
     words = flat.reshape(w, per_word)[:, :n]
     pb = pseudobasis.PseudoBasis(idx, words, code.syndrome(words))
@@ -346,8 +354,7 @@ def receive_masked_secrets(ctx, delivered, originals, masked, eb):
     zz = broadcast.broadcast_decode(delivered["z"], t).reshape(l, 2)
     if 2 * len(support) >= t:
         flat = broadcast.gen_broadcast_decode(
-            ctx.bcast_code(ctx.m_syn), t, delivered["blocks"], support,
-            cache=ctx.punct_cache)
+            ctx.bcast_code(ctx.m_syn), t, delivered["blocks"], support)
         syns = flat.reshape(l, -1)[:, :t]
         errors = pseudobasis.recover_error(code, eb, syns)
         y = f.vadd(originals[masked], errors)
@@ -369,12 +376,7 @@ def run_improved(params, secrets, adversary=None, rng=None, bob_words=None,
     num_words = t + l + 1
     width = _index_width(num_words, f.q)
 
-    if bob_words is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        X = code.random_codeword(rng, num_words)
-    else:
-        X = np.asarray(bob_words, dtype=np.int64)
+    X = _round_one_words(code, num_words, rng, bob_words)
     Y = session.transmit(BOB_TO_ALICE, X, PHASE_ROUND1)
 
     pb = pseudobasis.compute_pseudo_basis(code, Y)
@@ -437,8 +439,7 @@ def receive_pseudo_basis_incremental(ctx, delivered, originals, width):
     words = f.zeros((w, n))
     for i in range(w):
         flat = broadcast.gen_broadcast_decode(ctx.bcast_code(i), t,
-                                              delivered["blocks"][i], sorted(known),
-                                              cache=ctx.punct_cache)
+                                              delivered["blocks"][i], sorted(known))
         words[i] = flat[:n]
         err = f.vsub(words[i], originals[idx[i]])
         known.update(int(c) for c in np.nonzero(err)[0])

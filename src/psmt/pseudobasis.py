@@ -43,27 +43,36 @@ class ErrorBasis:
 
 def compute_pseudo_basis(code, words):
     """Greedy scan in input order, keeping each word whose syndrome is outside
-    the span of the syndromes kept so far.  At most n - k words are kept."""
+    the span of the syndromes kept so far.  At most n - k words are kept.
+
+    Works in at most n - k + 1 rounds: each reduces every syndrome after the
+    last kept word against the reduced row echelon basis of the kept ones,
+    with one matrix product, and keeps the first that does not vanish."""
     f = code.field
     words = np.asarray(words, dtype=np.int64)
     syns = code.syndrome(words)
     nsyn = syns.shape[1]
     kept = []
-    reduced = f.zeros((0, nsyn))
+    basis = f.zeros((nsyn, nsyn))  # rows 0 .. len(kept)-1 are in use
     pivots = []
-    for i in range(words.shape[0]):
-        row = syns[i].copy()
-        for r, pc in enumerate(pivots):
-            if row[pc]:
-                row = f.vsub(row, f.vmul(row[pc:pc + 1], reduced[r]))
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            continue
-        pc = int(nz[0])
+    start = 0
+    while len(pivots) < nsyn:
+        w = len(pivots)
+        rest = syns[start:]
+        if w:
+            rest = f.vsub(rest, gf.mat_mul(f, rest[:, pivots], basis[:w]))
+        live = np.flatnonzero(rest.any(axis=1))
+        if not live.size:
+            break
+        row = rest[live[0]]
+        pc = int(np.flatnonzero(row)[0])
         row = f.vmul(row, f.vinv(row[pc:pc + 1]))
-        reduced = np.vstack([reduced, row[None, :]])
+        if w:
+            basis[:w] = f.vsub(basis[:w], f.vmul(basis[:w, pc:pc + 1], row))
+        basis[w] = row
         pivots.append(pc)
-        kept.append(i)
+        kept.append(start + int(live[0]))
+        start = kept[-1] + 1
     return PseudoBasis(kept, words[kept].copy(), syns[kept].copy())
 
 

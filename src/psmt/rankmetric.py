@@ -64,12 +64,13 @@ def rank_of_batch(f, words):
     """Ranks of a stack of words, shape (B, n) -> (B,)."""
     words = np.asarray(words, dtype=np.int64)
     nb, n = words.shape
-    if f.p == 2 and f.q <= 63 and (nb << n) <= (1 << 22):
-        # span size over F_2 is the number of distinct XOR combinations
-        acc = np.zeros((nb, 1), dtype=np.int64)
+    if f.p == 2 and f.q <= 64 and (nb << n) <= (1 << 22):
+        # span size over F_2 is the number of distinct XOR combinations,
+        # counted as bits of an unsigned 64-bit mask
+        acc = np.zeros((nb, 1), dtype=np.uint64)
         for j in range(n):
-            acc = np.concatenate([acc, acc ^ words[:, j : j + 1]], axis=1)
-        masks = np.bitwise_or.reduce(np.int64(1) << acc, axis=1)
+            acc = np.concatenate([acc, acc ^ words[:, j : j + 1].astype(np.uint64)], axis=1)
+        masks = np.bitwise_or.reduce(np.uint64(1) << acc, axis=1)
         counts = np.bitwise_count(masks).astype(np.int64)
         return np.rint(np.log2(counts)).astype(np.int64)
     base = _base_field(f)

@@ -286,8 +286,7 @@ def test_criterion_08():
     assert hits > 50
 
 
-def _broadcast_case(f, code, t, known_bad, support, values, payload, rng,
-                    cache):
+def _broadcast_case(f, code, t, known_bad, support, values, payload, rng):
     n = code.n
     sent = broadcast.gen_broadcast_encode(code, payload)
     tampered = sent.copy()
@@ -296,8 +295,7 @@ def _broadcast_case(f, code, t, known_bad, support, values, payload, rng,
             tampered[row, c] = rng.integers(0, f.q)
     for c, v in zip(support, values):
         tampered[:, c] = f.vadd(tampered[:, c], np.int64(v))
-    got = broadcast.gen_broadcast_decode(code, t, tampered, known_bad,
-                                         cache=cache)
+    got = broadcast.gen_broadcast_decode(code, t, tampered, known_bad)
     assert np.array_equal(got[: len(payload)], payload)
 
 
@@ -307,7 +305,6 @@ def test_criterion_09():
     f = gf.field(7)
     n, t = 5, 2
     rng = np.random.default_rng(12)
-    cache = {}
     payload_draws = 0
     for m in range(t + 1):
         code = mds.rs_build(n, m + 1, f)
@@ -323,13 +320,12 @@ def test_criterion_09():
                                 payload_draws += 1
                                 _broadcast_case(f, code, t, known_bad,
                                                 support, values, payload,
-                                                rng, cache)
+                                                rng)
     assert payload_draws >= 2000
 
     for n in (7, 11):
         t = (n - 1) // 2
         f = gf.field(gf.next_prime_above(n))
-        cache = {}
         for trial in range(400):
             rng = np.random.default_rng([n, trial])
             m = int(rng.integers(0, t + 1))
@@ -342,7 +338,7 @@ def test_criterion_09():
             code = mds.rs_build(n, m + 1, f)
             payload = f.random(rng, int(rng.integers(1, 3 * (m + 1) + 1)))
             _broadcast_case(f, code, t, known_bad, support, values, payload,
-                            rng, cache)
+                            rng)
 
 
 def test_criterion_10():

@@ -150,3 +150,21 @@ def test_cli_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "successes=1/1" in proc.stdout
+
+
+def test_run_largest_prime_field_delivers(tmp_path, capsys):
+    rc = main(["run", "--protocol", "basic", "--n", "5", "--q", "2147483647",
+               "--l", "3", "--trials", "20", "--adversary", "random-noise",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "successes=20/20" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n,q,message", [
+    ("5", "4294967311", "p < 2^31"),
+    ("7", "8", "must exceed n+1=8"),
+])
+def test_run_refuses_unusable_field(tmp_path, capsys, n, q, message):
+    rc = main(["run", "--n", n, "--q", q, "--out", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err

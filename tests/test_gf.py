@@ -253,3 +253,27 @@ def test_frobenius_is_additive():
             assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))
     arr = np.arange(16, dtype=np.int64)
     assert np.array_equal(f.vfrob(arr), np.array([f.frob(int(v)) for v in arr]))
+
+
+def test_prime_field_size_limit():
+    f = gf.field(2147483647)  # 2^31 - 1, the largest accepted prime
+    assert f.chunk == 2
+    with pytest.raises(ValueError):
+        gf.field(4294967311)  # the smallest prime above 2^32
+
+
+def test_large_prime_sums_reduce_between_terms():
+    # products near 2^62 in a 2^31 - 1 field: one sum of two of them
+    # already leaves int64, so the kernels must reduce as they go
+    f = gf.field(2147483647)
+    rng = np.random.default_rng(31)
+    A = f.random(rng, (5, 9))
+    A[0] = f.q - 1
+    B = f.random(rng, (9, 4))
+    B[:, 0] = f.q - 1
+    got = gf.mat_mul(f, A, B)
+    dots = f.vdot(A[:, None, :], B.T[None, :, :])
+    for i in range(5):
+        for j in range(4):
+            want = sum(int(A[i, k]) * int(B[k, j]) for k in range(9)) % f.q
+            assert int(got[i, j]) == want and int(dots[i, j]) == want

@@ -327,3 +327,50 @@ def test_reliability_smoke_all_adversaries(n):
                 for runner in (run_basic, run_improved):
                     res = runner(p, secrets, adversary=adv, rng=rng, context=ctx)
                     assert np.array_equal(res.secrets, secrets), (name, seed)
+
+
+def test_params_need_n_plus_one_nonzero_points():
+    with pytest.raises(ValueError, match="n\\+1"):
+        SessionParams(7, 3, 1, gf.field(2, 3))  # q = n + 1
+    SessionParams(7, 3, 1, gf.field(3, 2))
+
+
+def test_round_one_word_count_checked():
+    p = params_for(3, l=1, q=5)
+    code = ProtocolContext(p).code
+    rng = np.random.default_rng(0)
+    for runner, num in ((run_basic, 2), (run_improved, 3)):
+        for wrong in (num - 1, num + 1):
+            with pytest.raises(ValueError):
+                runner(p, [1], bob_words=code.random_codeword(rng, wrong))
+        with pytest.raises(ValueError):
+            runner(p, [1], bob_words=code.random_codeword(rng, num)[:, :2])
+        res = runner(p, [1], bob_words=code.random_codeword(rng, num))
+        assert list(res.secrets) == [1]
+
+
+def test_audit_of_wrapped_improved_refuses():
+    # a plain wrapper hides run_improved from the audit, which then hands
+    # it t+l words instead of t+l+1; the run must refuse, not pass on fewer
+    p = params_for(3, l=1, q=5)
+
+    def wrapper(*args, **kwargs):
+        return run_improved(*args, **kwargs)
+
+    with pytest.raises(ValueError, match="bob_words"):
+        privacy_audit(p, wrapper, PassiveAdversary((0,), p.field))
+
+
+@pytest.mark.parametrize("q", [16, 27, 256])
+def test_delivery_sweep_extension_fields(q):
+    n, t, l = 7, 3, 7
+    p = SessionParams(n, t, l, gf.field_of_order(q))
+    ctx = ProtocolContext(p)
+    for a, (name, factory) in enumerate(sorted(builtin_adversaries().items())):
+        for seed in range(12):
+            rng = np.random.default_rng([q, seed, a])
+            adv = factory(n, t, p.field, rng)
+            secrets = p.field.random(rng, l)
+            for runner in (run_basic, run_improved):
+                res = runner(p, secrets, adversary=adv, rng=rng, context=ctx)
+                assert np.array_equal(res.secrets, secrets), (name, seed)

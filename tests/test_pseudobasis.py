@@ -230,3 +230,57 @@ def test_round_trip_recovery(n, t):
         got = pseudobasis.recover_error(code, eb, code.syndrome(words))
         assert np.array_equal(got, errors)
         assert np.array_equal(f.vadd(x, got), words)
+
+
+def greedy_pseudo_basis(code, words):
+    """Oracle: the word-by-word greedy scan, reducing each syndrome against
+    the kept ones in turn."""
+    f = code.field
+    words = np.asarray(words, dtype=np.int64)
+    syns = code.syndrome(words)
+    kept = []
+    reduced = f.zeros((0, syns.shape[1]))
+    pivots = []
+    for i in range(words.shape[0]):
+        row = syns[i].copy()
+        for r, pc in enumerate(pivots):
+            if row[pc]:
+                row = f.vsub(row, f.vmul(row[pc:pc + 1], reduced[r]))
+        nz = np.nonzero(row)[0]
+        if nz.size == 0:
+            continue
+        pc = int(nz[0])
+        row = f.vmul(row, f.vinv(row[pc:pc + 1]))
+        reduced = np.vstack([reduced, row[None, :]])
+        pivots.append(pc)
+        kept.append(i)
+    return kept, words[kept], syns[kept]
+
+
+@pytest.mark.parametrize("q", [11, 16, 27])
+def test_rounds_match_greedy_scan(q):
+    # errors drawn from a few directions (rank-deficient), from none, and
+    # freely on t channels, with clean words interleaved
+    f = gf.field_of_order(q)
+    n, t = 9, 4
+    code = mds.rs_build(n, t + 1, f)
+    rng = np.random.default_rng(q)
+    for trial in range(40):
+        num = int(rng.integers(1, 30))
+        chans = rng.choice(n, size=t, replace=False)
+        dirs = f.zeros((int(rng.integers(0, t + 1)), n))
+        dirs[:, chans] = f.random(rng, (len(dirs), t))
+        if trial % 4 == 0:
+            coeffs = f.random(rng, (num, t))
+            errors = f.zeros((num, n))
+            errors[:, chans] = coeffs
+        else:
+            coeffs = f.random(rng, (num, len(dirs)))
+            errors = gf.mat_mul(f, coeffs, dirs)
+        errors[rng.random(num) < 0.3] = 0
+        words = f.vadd(code.random_codeword(rng, num), errors)
+        pb = pseudobasis.compute_pseudo_basis(code, words)
+        kept, want_words, want_syns = greedy_pseudo_basis(code, words)
+        assert pb.indices == kept
+        assert np.array_equal(pb.words, want_words)
+        assert np.array_equal(pb.syndromes, want_syns)

@@ -353,3 +353,15 @@ def test_view_bytes_separates_entries():
     assert _view_bytes(a) != _view_bytes(b)
     assert _view_bytes(a) != _view_bytes(c)
     assert _view_bytes(a) == _view_bytes([a[0]])
+
+
+def test_rank_of_uint64_masks_on_f64():
+    # F_2^6 takes the XOR-span path; words holding 63 need mask bit 63
+    f = gf.field(2, 6)
+    rng = np.random.default_rng(64)
+    words = f.random(rng, (300, 5))
+    words[::3, 0] = 63
+    words[1::3] = np.array([63, 1, 62, 2, 61])
+    got = rank_of_batch(f, words)
+    for i in range(300):
+        assert got[i] == _word_rank_oracle(f, words[i])
