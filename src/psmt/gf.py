@@ -220,10 +220,8 @@ class PrimeField(_FieldBase):
         a = np.asarray(a, dtype=np.int64) % self.p
         b = np.asarray(b, dtype=np.int64) % self.p
         c = self.chunk
-        if a.shape[-1] <= c:
-            return np.einsum("...i,...i->...", a, b) % self.p
-        out = 0
-        for i in range(0, a.shape[-1], c):
+        out = np.einsum("...i,...i->...", a[..., :c], b[..., :c]) % self.p
+        for i in range(c, a.shape[-1], c):
             part = np.einsum("...i,...i->...", a[..., i : i + c], b[..., i : i + c])
             out = (out + part % self.p) % self.p
         return out
@@ -599,10 +597,8 @@ def mat_mul(f, A, B):
     B = np.asarray(B, dtype=np.int64)
     if isinstance(f, PrimeField):
         c = f.chunk
-        if A.shape[1] <= c:
-            return (A @ B) % f.p
-        out = f.zeros((A.shape[0], B.shape[1]))
-        for i in range(0, A.shape[1], c):
+        out = (A[:, :c] @ B[:c]) % f.p
+        for i in range(c, A.shape[1], c):
             out = (out + (A[:, i : i + c] @ B[i : i + c]) % f.p) % f.p
         return out
     out = f.zeros((A.shape[0], B.shape[1]))

@@ -112,8 +112,11 @@ class ReedSolomonCode:
         f = self.field
         Y = np.asarray(Y, dtype=np.int64)
         n, r = self.n, self.n - self.k
+        erasures = [int(e) for e in erasures]
+        if any(not 0 <= e < n for e in erasures):
+            raise ValueError("erasures must be positions 0..%d, got %s" % (n - 1, erasures))
         erased = np.zeros(n, dtype=bool)
-        erased[list(erasures)] = True
+        erased[erasures] = True
         s = int(erased.sum())
         if s > r:
             raise ValueError("%d erasures exceed the %d parity symbols" % (s, r))

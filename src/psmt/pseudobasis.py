@@ -61,11 +61,11 @@ def compute_pseudo_basis(code, words):
         rest = syns[start:]
         if w:
             rest = f.vsub(rest, gf.mat_mul(f, rest[:, pivots], basis[:w]))
-        live = np.flatnonzero(rest.any(axis=1))
+        live = rest.any(axis=1).nonzero()[0]
         if not live.size:
             break
         row = rest[live[0]]
-        pc = int(np.flatnonzero(row)[0])
+        pc = int(row.nonzero()[0][0])
         row = f.vmul(row, f.vinv(row[pc:pc + 1]))
         if w:
             basis[:w] = f.vsub(basis[:w], f.vmul(basis[:w, pc:pc + 1], row))

@@ -111,6 +111,14 @@ def test_gen_decode_argument_validation():
         broadcast.gen_broadcast_decode(code, 2, sent, [0, 1, 2])  # more than t
 
 
+def test_gen_decode_refuses_channels_out_of_range():
+    code = mds.rs_build(5, 3, gf.field(7))
+    sent = broadcast.gen_broadcast_encode(code, [1, 2, 3])
+    for known in ([-1, 0], [0, 5]):
+        with pytest.raises(ValueError):
+            broadcast.gen_broadcast_decode(code, 2, sent, known)
+
+
 def test_gen_decode_out_of_model_raises_or_is_caught():
     # m=2 with an unknown error on top of two known channels exceeds the
     # model; the decode must not silently return a wrong payload

@@ -284,7 +284,10 @@ def test_errata_decode_matches_punctured_reference(n, k, q):
                 assert np.array_equal(f.vadd(X[i], E[i]), y)
 
 
-def test_decoder_refuses_too_many_erasures():
+# three erasures exceed n - k = 2; the others are not positions of a length-5
+# word (a negative one must not wrap round to the last channel)
+@pytest.mark.parametrize("erasures", [[0, 1, 2], [-1], [5], [0, 7]])
+def test_decoder_refuses_too_many_erasures(erasures):
     code = mds.rs_build(5, 3, gf.field(7))
     with pytest.raises(ValueError):
-        code.unique_decode_batch(np.zeros((1, 5), dtype=np.int64), erasures=[0, 1, 2])
+        code.unique_decode_batch(np.zeros((1, 5), dtype=np.int64), erasures=erasures)
