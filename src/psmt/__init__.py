@@ -6,14 +6,16 @@ Library layout:
 - mds: Reed-Solomon codes, syndromes, unique decoding, privacy pairs.
 - pseudobasis: pseudo-basis selection and error recovery from syndromes.
 - broadcast: repetition and generalized (m-fold) broadcast over n channels.
-- channels: the n-channel bundle, adversary strategies, transcripts, cost ledgers.
+- channels: the channel session for both adversary models (t channels, or t
+  eavesdrop and tamper vectors), transcripts, cost ledgers.
 - protocols: the two-round transmission protocols and the privacy audit.
 - rankmetric: Gabidulin codes and the protocol against generalized adversaries.
 - cli: command line front end (run / audit / bench).
 """
 
-from .gf import field, PrimeField, ExtensionField, FieldElement
-from .mds import ReedSolomonCode, rs_build, build_privacy_pair
+from .gf import field, field_of_order, PrimeField, ExtensionField
+from .mds import ReedSolomonCode, build_privacy_pair
+from .channels import ChannelSession
 from .protocols import SessionParams, run_basic, run_improved, privacy_audit
 from .rankmetric import (
     GabidulinCode,
@@ -24,12 +26,12 @@ from .rankmetric import (
 
 __all__ = [
     "field",
+    "field_of_order",
     "PrimeField",
     "ExtensionField",
-    "FieldElement",
     "ReedSolomonCode",
-    "rs_build",
     "build_privacy_pair",
+    "ChannelSession",
     "SessionParams",
     "run_basic",
     "run_improved",

@@ -1,10 +1,19 @@
 """Simulated bundle of n bidirectional channels with a static adversary.
 
 Every transmission is a stack of length-n arrays, one field symbol per channel
-per array.  The adversary fixes a set of at most t channels before the run;
-she reads those coordinates of everything in both directions and may overwrite
-them, and nothing else.  Phases marked public (broadcasts) are additionally
-counted as fully visible to her, so privacy audits over-approximate her view.
+per array.  The adversary is fixed before the run, in one of two models:
+
+- AdversaryStrategy owns a set of at most t channels; she reads those
+  coordinates of everything in both directions and may overwrite them, and
+  nothing else.
+- rankmetric.GeneralizedAdversary fixes at most t eavesdrop vectors lambda
+  and t tamper vectors mu; she reads the lambda-combinations of every array
+  and adds delta * mu to it.  Owning channel i is the case lambda = mu = e_i.
+
+One ChannelSession carries both: each model says how it taps and how its
+reply is injected, and the session keeps the ledger, the transcript and her
+view.  Phases marked public (broadcasts) are additionally counted as fully
+visible to her, so privacy audits over-approximate her view.
 
 The session keeps a cost ledger (symbols and bits per phase and direction)
 and, optionally, a full transcript of sent/delivered arrays.
@@ -12,7 +21,6 @@ and, optionally, a full transcript of sent/delivered arrays.
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,19 +43,6 @@ class AdversaryFault(RuntimeError):
     out-of-field symbols); a harness bug, not a protocol event."""
 
 
-class ChannelBundle:
-    def __init__(self, n, t, corrupted, field):
-        corrupted = tuple(sorted(set(int(c) for c in corrupted)))
-        if len(corrupted) > t:
-            raise ValueError("adversary owns %d channels, budget is %d" % (len(corrupted), t))
-        if corrupted and (corrupted[0] < 0 or corrupted[-1] >= n):
-            raise ValueError("corrupted channel index out of range")
-        self.n = n
-        self.t = t
-        self.corrupted = corrupted
-        self.field = field
-
-
 class CostLedger:
     """Symbol counts per (phase, direction); bits are symbols * ceil(log2 q)."""
 
@@ -60,14 +55,8 @@ class CostLedger:
         self.counts[key] = self.counts.get(key, 0) + int(nsymbols)
 
     def symbols(self, phase=None, direction=None):
-        total = 0
-        for (ph, d), c in self.counts.items():
-            if phase is not None and ph != phase:
-                continue
-            if direction is not None and d != direction:
-                continue
-            total += c
-        return total
+        return sum(c for (ph, d), c in self.counts.items()
+                   if phase in (None, ph) and direction in (None, d))
 
     def bits(self, phase=None, direction=None):
         return self.symbols(phase, direction) * self.bits_per_symbol
@@ -81,20 +70,6 @@ class CostLedger:
         fh.write("phase,direction,symbols,bits\n")
         for ph, d, c, b in self.rows():
             fh.write("%s,%s,%d,%d\n" % (ph, d, c, b))
-
-
-def cost_report(ledger, num_secrets=None):
-    """Per-phase and total counts, plus the exact rate when secrets were sent."""
-    report = {
-        "phases": {
-            (ph, d): {"symbols": c, "bits": b} for ph, d, c, b in ledger.rows()
-        },
-        "total_symbols": ledger.symbols(),
-        "total_bits": ledger.bits(),
-    }
-    if num_secrets:
-        report["rate"] = Fraction(ledger.symbols(), num_secrets)
-    return report
 
 
 class Transcript:
@@ -145,8 +120,30 @@ class AdversaryStrategy:
         self.corrupted = tuple(sorted(set(int(c) for c in corrupted)))
         self.field = field
 
+    @property
+    def t(self):
+        """Channels she owns, her share of the budget t."""
+        return len(self.corrupted)
+
+    def check_length(self, n):
+        if self.corrupted and (self.corrupted[0] < 0 or self.corrupted[-1] >= n):
+            raise ValueError("corrupted channel index out of range")
+
     def reset(self):
         pass
+
+    def tap(self, arrays):
+        return arrays[:, list(self.corrupted)]
+
+    def reply(self, direction, phase, taps, view):
+        return self.tamper(direction, phase, taps, view)
+
+    def inject(self, arrays, taps, reply):
+        if np.array_equal(reply, taps):
+            return arrays
+        delivered = arrays.copy()
+        delivered[:, list(self.corrupted)] = reply
+        return delivered
 
     def tamper(self, direction, phase, observed, view):
         return observed
@@ -242,58 +239,78 @@ def builtin_adversaries():
 
 
 class ChannelSession:
-    """One protocol run's worth of transmissions over a bundle.
+    """One protocol run's worth of transmissions over n channels.
+
+    The adversary is either an AdversaryStrategy on at most t channels or a
+    GeneralizedAdversary with at most t vector pairs.  Both offer tap(arrays),
+    the block she reads; reply(direction, phase, taps, view), her answer of
+    the same shape; and inject(arrays, taps, reply), what gets delivered.
 
     The adversary (if any) is reset at session start.  Her accumulated view
     (taps plus public payloads) lives in eve_view; the transcript is recorded
     only on request since sweeps do not need it.
     """
 
-    def __init__(self, bundle, adversary=None, record_transcript=False):
-        if adversary is not None and tuple(adversary.corrupted) != bundle.corrupted:
-            raise ValueError("adversary and bundle disagree on corrupted channels")
-        self.bundle = bundle
+    def __init__(self, n, t, field, adversary=None, record_transcript=False):
+        if adversary is not None:
+            if adversary.t > t:
+                raise ValueError("adversary uses %d taps, budget is %d" % (adversary.t, t))
+            adversary.check_length(n)
+            adversary.reset()
+        self.n = n
+        self.t = t
+        self.field = field
         self.adversary = adversary
-        self.ledger = CostLedger(bundle.field.q)
+        self.active = adversary is not None and adversary.t > 0
+        self.ledger = CostLedger(field.q)
         self.transcript = Transcript() if record_transcript else None
         self.eve_view = []
-        if adversary is not None:
-            adversary.reset()
 
     def transmit(self, direction, arrays, phase, public=False):
-        f = self.bundle.field
         arrays = np.asarray(arrays, dtype=np.int64)
-        if arrays.ndim != 2 or arrays.shape[1] != self.bundle.n:
-            raise ValueError("transmission must be a stack of length-%d arrays" % self.bundle.n)
-        if arrays.size and (arrays.min() < 0 or arrays.max() >= f.q):
+        if arrays.ndim != 2 or arrays.shape[1] != self.n:
+            raise ValueError("transmission must be a stack of length-%d arrays" % self.n)
+        if _outside(arrays, self.field.q):
             raise ValueError("transmission holds out-of-field symbols")
         self.ledger.add(phase, direction, arrays.size)
         delivered = arrays
-        adv = self.adversary
-        if adv is not None and len(adv.corrupted) > 0 and arrays.shape[0] > 0:
-            cols = list(adv.corrupted)
-            observed = arrays[:, cols].copy()
-            self.eve_view.append(("tap", direction, phase, observed))
-            replacement = adv.tamper(direction, phase, observed.copy(), self.eve_view)
-            replacement = np.asarray(replacement, dtype=np.int64)
-            if replacement.shape != observed.shape:
-                raise AdversaryFault("tamper block has shape %r, expected %r"
-                                     % (replacement.shape, observed.shape))
-            if replacement.size and (replacement.min() < 0 or replacement.max() >= f.q):
-                raise AdversaryFault("tamper block holds out-of-field symbols")
-            if not np.array_equal(replacement, observed):
-                delivered = arrays.copy()
-                delivered[:, cols] = replacement
+        if self.active and arrays.shape[0] > 0:
+            delivered = self.intercept(direction, phase, arrays, self.adversary.tap(arrays))
         if public:
             self.eve_view.append(("public", direction, phase, arrays))
         if self.transcript is not None:
             self.transcript.append(direction, phase, public, arrays, delivered)
         return delivered
 
+    def intercept(self, direction, phase, arrays, taps):
+        """The adversary's turn on one transmission, given her taps of it:
+        records the taps, checks her reply, returns the delivered arrays."""
+        self.eve_view.append(("tap", direction, phase, taps))
+        reply = np.asarray(
+            self.adversary.reply(direction, phase, taps.copy(), self.eve_view),
+            dtype=np.int64)
+        if reply.shape != taps.shape:
+            raise AdversaryFault("reply block has shape %r, expected %r"
+                                 % (reply.shape, taps.shape))
+        if _outside(reply, self.field.q):
+            raise AdversaryFault("reply block holds out-of-field symbols")
+        return self.adversary.inject(arrays, taps, reply)
+
     def view_key(self):
         """Canonical bytes for everything the adversary saw this session."""
-        parts = []
-        for kind, direction, phase, arr in self.eve_view:
-            parts.append(("%s|%s|%s|%r|" % (kind, direction, phase, arr.shape)).encode())
-            parts.append(arr.tobytes())
-        return b"".join(parts)
+        return view_bytes(self.eve_view)
+
+
+def view_bytes(entries):
+    """Canonical bytes for a list of view entries."""
+    parts = []
+    for kind, direction, phase, arr in entries:
+        parts.append(("%s|%s|%s|%r|" % (kind, direction, phase, arr.shape)).encode())
+        parts.append(arr.tobytes())
+    return b"".join(parts)
+
+
+def _outside(arr, q):
+    """Whether an int64 array holds a symbol outside [0, q).  Negative
+    symbols wrap to huge unsigned ones, so one maximum covers both ends."""
+    return arr.size > 0 and int(np.maximum.reduce(arr.view(np.uint64), axis=None)) >= q

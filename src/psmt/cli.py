@@ -88,27 +88,6 @@ class SpecError(ValueError):
     pass
 
 
-def _field_from_order(q):
-    if q < 2:
-        raise SpecError("field order must be at least 2, got %d" % q)
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    m, v = 0, q
-    while v % p == 0:
-        v //= p
-        m += 1
-    if v != 1:
-        raise SpecError("q must be a prime power, got %d" % q)
-    return gf.field(p, m)
-
-
-def _frac(num, den):
-    return Fraction(num, den)
-
-
 def _frac_str(fr):
     return "%d/%d" % (fr.numerator, fr.denominator)
 
@@ -134,7 +113,7 @@ def _classical_spec(spec):
     if n != 2 * t + 1:
         raise SpecError("n must equal 2t+1 (got n=%d, t=%d)" % (n, t))
     q = spec.q if spec.q else gf.next_prime_above(n)
-    return SessionParams(n, t, spec.l, _field_from_order(q))
+    return SessionParams(n, t, spec.l, gf.field_of_order(q))
 
 
 def _rank_spec(spec):
@@ -166,6 +145,18 @@ def _open_out(spec, name):
     return open(os.path.join(spec.out, name), "w")
 
 
+def _classical_factory(spec):
+    """Resolve the adversary name; its factory, or None for "none"."""
+    spec.adversary = _resolve_name(
+        spec.adversary, list(builtin_adversaries()) + ["none"], "adversary")
+    return None if spec.adversary == "none" else builtin_adversaries()[spec.adversary]
+
+
+def _rank_adversaries(params):
+    """The rank audit strategies by CLI name: passive, fixed-tamper, tap-replay."""
+    return {a.name.replace("rank-", ""): a for a in rank_audit_adversaries(params)}
+
+
 def _classical_trial(params, ctx, runner, adv_factory, spec, k):
     rng = np.random.default_rng([spec.seed, k])
     f = params.field
@@ -182,9 +173,7 @@ def _rank_trial(params, ctx, spec, k):
     if spec.adversary == "random":
         adv = random_generalized_adversary(params.n, params.t, f, rng)
     else:
-        table = {a.name.replace("rank-", ""): a
-                 for a in rank_audit_adversaries(params)}
-        adv = table[spec.adversary]
+        adv = _rank_adversaries(params)[spec.adversary]
     secrets = f.random(rng, params.l)
     res = run_rank_protocol(params, secrets, adversary=adv, rng=rng,
                             context=ctx, record_transcript=spec.transcript)
@@ -205,10 +194,7 @@ def cmd_run(spec):
         params = _classical_spec(spec)
         ctx = ProtocolContext(params)
         runner = {"basic": run_basic, "improved": run_improved}[spec.protocol]
-        spec.adversary = _resolve_name(
-            spec.adversary, list(builtin_adversaries()) + ["none"], "adversary")
-        factory = (None if spec.adversary == "none"
-                   else builtin_adversaries()[spec.adversary])
+        factory = _classical_factory(spec)
         trial = lambda k: _classical_trial(params, ctx, runner, factory, spec, k)
     f = params.field
 
@@ -231,11 +217,11 @@ def cmd_run(spec):
                 res.transcript.write_log(fh, field=f)
         log.info("trial %d: delivered=%s total_symbols=%d", k, ok, totals[-1])
 
-    mean = _frac(sum(totals), spec.trials)
+    mean = Fraction(sum(totals), spec.trials)
     tmax = max(totals)
-    rate_mean = _frac(sum(totals), spec.trials * spec.l)
-    rate_max = _frac(tmax, spec.l)
-    srate = _frac(successes, spec.trials)
+    rate_mean = Fraction(sum(totals), spec.trials * spec.l)
+    rate_max = Fraction(tmax, spec.l)
+    srate = Fraction(successes, spec.trials)
 
     with _open_out(spec, "phases.csv") as fh:
         fh.write(SCHEMA_PHASES + "\n")
@@ -274,8 +260,7 @@ def cmd_audit(spec):
     """Exhaustive view-distribution comparison; refuses oversized requests."""
     if spec.protocol == "rank":
         params = _rank_spec(spec)
-        table = {a.name.replace("rank-", ""): a
-                 for a in rank_audit_adversaries(params)}
+        table = _rank_adversaries(params)
         run_one = lambda adv: rank_privacy_audit(params, adv, budget=spec.budget)
     else:
         params = _classical_spec(spec)
@@ -335,17 +320,14 @@ def cmd_bench(spec):
     The predicted column is the closed-form ceiling with the worst-case
     pseudo-basis size w = t; any in-model run stays at or under it."""
     runner = {"basic": run_basic, "improved": run_improved}[spec.protocol]
-    spec.adversary = _resolve_name(
-        spec.adversary, list(builtin_adversaries()) + ["none"], "adversary")
-    factory = (None if spec.adversary == "none"
-               else builtin_adversaries()[spec.adversary])
+    factory = _classical_factory(spec)
     failures = 0
     lines = []
     for n in spec.ns:
         t = (n - 1) // 2
         if n != 2 * t + 1 or t < 1:
             raise SpecError("n must equal 2t+1 with t >= 1 (got n=%d)" % n)
-        f = _field_from_order(gf.next_prime_above(n))
+        f = gf.field_of_order(gf.next_prime_above(n))
         for token in spec.ls:
             l = _resolve_l(token, n)
             params = SessionParams(n, t, l, f)
@@ -359,8 +341,8 @@ def cmd_bench(spec):
                     log.warning("bench n=%d l=%d trial %d failed", n, l, k)
                 tmax = max(tmax, res.ledger.symbols())
             predicted = 5 * n * l + 4 * n * n + 4 * n * t + 2 * n
-            rate = _frac(tmax, l)
-            prate = _frac(predicted, l)
+            rate = Fraction(tmax, l)
+            prate = Fraction(predicted, l)
             lines.append("%s,%d,%d,%d,%d,%s,%d,%d,%d,%s,%s,%d,%s,%s,%d"
                          % (spec.protocol, n, t, l, f.q, spec.adversary,
                             spec.trials, spec.seed, tmax, _frac_str(rate),

@@ -7,8 +7,7 @@ So 0 and 1 are the field's zero and one in every representation, and "smallest"
 always means smallest index.
 
 Scalar ops (add, mul, inv, ...) work on ints; the v-prefixed ops work on numpy
-int64 arrays of any shape and are what the coding layers use.  A thin
-FieldElement wrapper with operator overloading is provided for interactive use.
+int64 arrays of any shape and are what the coding layers use.
 """
 
 import numpy as np
@@ -37,71 +36,6 @@ def next_prime_above(n):
     return c
 
 
-class FieldElement:
-    """An int bound to its field, with operator overloading."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        field.check(value)
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError("elements belong to different fields")
-            return other.value
-        if isinstance(other, (int, np.integer)):
-            self.field.check(int(other))
-            return int(other)
-        raise TypeError("cannot combine FieldElement with %r" % (other,))
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._coerce(other), self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.value == other.value
-        if isinstance(other, (int, np.integer)):
-            return self.value == int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return "%r(%d)" % (self.field, self.value)
-
-
 class _FieldBase:
     """Shared plumbing; subclasses fill in the raw arithmetic."""
 
@@ -114,9 +48,6 @@ class _FieldBase:
         if a.size and (a.min() < 0 or a.max() >= self.q):
             raise ValueError("array holds values outside %r" % (self,))
         return a
-
-    def __call__(self, v):
-        return FieldElement(self, int(v))
 
     def elements(self):
         return range(self.q)
@@ -534,17 +465,20 @@ def field(p, m=1, modulus=None):
 
 def field_of_order(q):
     """Field with q elements, factoring q as a prime power."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                m += 1
-            if v != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return field(p, m)
-    raise ValueError("order must be at least 2")
+    if q < 2:
+        raise ValueError("field order must be at least 2, got %d" % q)
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if q % p:
+        p = q
+    m, v = 0, q
+    while v % p == 0:
+        v //= p
+        m += 1
+    if v != 1:
+        raise ValueError("q must be a prime power, got %d" % q)
+    return field(p, m)
 
 
 # --- linear algebra over an arbitrary field object ---------------------------
@@ -649,43 +583,16 @@ def null_space(f, A):
 
 
 def solve_batched(f, A, b):
-    """Solve A[i] x = b[i] for a stack of systems.
+    """Solve A[i] x = b[i] for a stack of systems, one solve_right each.
 
     A has shape (B, R, C) and b (B, R).  Returns (X, ok) with X of shape
     (B, C) (free variables zero) and ok a bool array flagging consistency.
+    The library itself no longer solves stacks of systems.
     """
     A = np.asarray(A, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    nb, rows, ncols = A.shape
-    aug = np.concatenate([A, b[:, :, None]], axis=2).copy()
-    ptr = np.zeros(nb, dtype=np.int64)
-    pivot_row = -np.ones((nb, ncols), dtype=np.int64)
-    rowidx = np.arange(rows)
-    for c in range(ncols):
-        mask = (rowidx[None, :] >= ptr[:, None]) & (aug[:, :, c] != 0)
-        has = mask.any(axis=1)
-        if not has.any():
-            continue
-        pr = np.argmax(mask, axis=1)
-        bi = np.nonzero(has)[0]
-        # swap the found pivot rows up to position ptr
-        tmp = aug[bi, ptr[bi], :].copy()
-        aug[bi, ptr[bi], :] = aug[bi, pr[bi], :]
-        aug[bi, pr[bi], :] = tmp
-        inv = f.vinv(aug[bi, ptr[bi], c])
-        aug[bi, ptr[bi], :] = f.vmul(aug[bi, ptr[bi], :], inv[:, None])
-        factor = aug[bi, :, c].copy()
-        factor[np.arange(bi.size), ptr[bi]] = 0
-        aug[bi] = f.vsub(aug[bi], f.vmul(factor[:, :, None], aug[bi, ptr[bi], None, :]))
-        pivot_row[bi, c] = ptr[bi]
-        ptr[bi] += 1
-    coeff_zero = ~np.any(aug[:, :, :ncols] != 0, axis=2)
-    ok = ~np.any(coeff_zero & (aug[:, :, ncols] != 0), axis=1)
-    X = f.zeros((nb, ncols))
-    for c in range(ncols):
-        rows_c = pivot_row[:, c]
-        sel = rows_c >= 0
-        if sel.any():
-            bi = np.nonzero(sel)[0]
-            X[bi, c] = aug[bi, rows_c[bi], ncols]
+    X = f.zeros((A.shape[0], A.shape[2]))
+    ok = np.zeros(A.shape[0], dtype=bool)
+    for i in range(A.shape[0]):
+        X[i], ok[i] = solve_right(f, A[i], b[i])
     return X, ok

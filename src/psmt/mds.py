@@ -86,6 +86,10 @@ class ReedSolomonCode:
         shape = (self.k,) if count is None else (count, self.k)
         return self.encode(self.field.random(rng, shape))
 
+    def weights(self, words):
+        """Hamming weights of a stack of words."""
+        return np.count_nonzero(words, axis=-1)
+
     def contains(self, word):
         return not np.any(self.syndrome(word))
 
@@ -194,13 +198,9 @@ def _berlekamp_massey(f, S):
     return C, L
 
 
-def rs_build(n, k, f, points=None):
-    """Reed-Solomon [n, k] code over f at the n smallest nonzero points."""
-    return ReedSolomonCode(n, k, f, points)
-
-
 class PrivacyPair:
-    """An [n, t+1] code C together with a mask row h.
+    """An [n, t+1] code C together with a mask row h.  Used for the
+    Reed-Solomon pair here and for the Gabidulin pair of the rank variant.
 
     h is taken from a parity check of the [n+1, t+1] parent code whose last
     entry alpha is nonzero, restricted to the first n coordinates.  For any

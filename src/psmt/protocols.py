@@ -25,7 +25,6 @@ from .channels import (
     PHASE_PB_OVERHEAD,
     PHASE_PSEUDO_BASIS,
     PHASE_ROUND1,
-    ChannelBundle,
     ChannelSession,
     PassiveAdversary,
     ProtocolViolation,
@@ -65,7 +64,7 @@ class ProtocolContext:
 
     def bcast_code(self, m):
         if m not in self._bcast:
-            self._bcast[m] = mds.rs_build(self.params.n, m + 1, self.params.field)
+            self._bcast[m] = mds.ReedSolomonCode(self.params.n, m + 1, self.params.field)
         return self._bcast[m]
 
 
@@ -87,42 +86,41 @@ def _index_width(count, q):
 
 
 def _encode_indices(indices, width, q):
-    out = []
-    for v in indices:
-        for _ in range(width):
-            out.append(v % q)
-            v //= q
-    return np.array(out, dtype=np.int64)
+    """Each index as width base-q digits, least significant first."""
+    return np.array([(v // q**j) % q for v in indices for j in range(width)],
+                    dtype=np.int64)
 
 
 def _decode_indices(symbols, width, q):
-    vals = []
-    for i in range(0, len(symbols), width):
-        v = 0
-        for j in range(width - 1, -1, -1):
-            v = v * q + int(symbols[i + j])
-        vals.append(v)
-    return vals
+    return [sum(int(symbols[i + j]) * q**j for j in range(width))
+            for i in range(0, len(symbols), width)]
 
 
 def _masked_indices(num_words, pb_indices, l):
     """First l word indices outside the pseudo-basis, in order."""
     inside = set(pb_indices)
-    out = []
-    for i in range(num_words):
-        if i not in inside:
-            out.append(i)
-            if len(out) == l:
-                break
+    out = [i for i in range(num_words) if i not in inside][:l]
     if len(out) < l:
         raise ProtocolViolation("pseudo-basis too large to leave %d masked words" % l)
     return out
 
 
-def _session(params, adversary, record_transcript):
-    corrupted = adversary.corrupted if adversary is not None else ()
-    bundle = ChannelBundle(params.n, params.t, corrupted, params.field)
-    return ChannelSession(bundle, adversary, record_transcript)
+def _check_pseudo_basis(w, t, num_words, indices=None):
+    """Refuses an announced pseudo-basis no in-model run can produce: more
+    than t words, or (once decoded) indices that repeat or name no word."""
+    if w > min(t, num_words):
+        raise ProtocolViolation("announced pseudo-basis larger than t")
+    if indices is not None and (len(set(indices)) != w or max(indices) >= num_words):
+        raise ProtocolViolation("pseudo-basis indices out of range")
+
+
+def _check_secrets(params, secrets):
+    """The l secrets as a flat int64 array, refusing any other count or
+    out-of-field values."""
+    secrets = params.field.check_array(np.asarray(secrets, dtype=np.int64).reshape(-1))
+    if secrets.shape != (params.l,):
+        raise ValueError("expected %d secrets" % params.l)
+    return secrets
 
 
 def _round_one_words(code, num_words, rng, bob_words):
@@ -144,10 +142,8 @@ def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
     ctx = context if context is not None else ProtocolContext(params)
     n, t, l, f = params.n, params.t, params.l, params.field
     code, pair = ctx.code, ctx.pair
-    secrets = f.check_array(np.asarray(secrets, dtype=np.int64).reshape(-1))
-    if secrets.shape != (l,):
-        raise ValueError("expected %d secrets" % l)
-    session = _session(params, adversary, record_transcript)
+    secrets = _check_secrets(params, secrets)
+    session = ChannelSession(n, t, f, adversary, record_transcript)
     num_words = t + l
     width = _index_width(num_words, f.q)
 
@@ -181,19 +177,16 @@ def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
 
     # Bob decodes
     w_bob = int(broadcast.broadcast_decode(sent_marker, t)[0])
-    if w_bob > min(t, num_words):
-        raise ProtocolViolation("announced pseudo-basis larger than t")
+    _check_pseudo_basis(w_bob, t, num_words)
     if w_bob:
         idx_bob = _decode_indices(broadcast.broadcast_decode(got_idx, t), width, f.q)
-        if len(set(idx_bob)) != w_bob or max(idx_bob) >= num_words:
-            raise ProtocolViolation("pseudo-basis indices out of range")
+        _check_pseudo_basis(w_bob, t, num_words, idx_bob)
         words_bob = broadcast.broadcast_decode(got_words, t).reshape(w_bob, n)
         pb_bob = pseudobasis.PseudoBasis(idx_bob, words_bob, code.syndrome(words_bob))
         eb = pseudobasis.extract_error_basis(code, pb_bob, X)
     else:
         idx_bob = []
-        eb = pseudobasis.ErrorBasis([], f.zeros((0, n)), f.zeros((0, n - code.k)),
-                                    np.array([], dtype=np.int64))
+        eb = pseudobasis.empty_error_basis(code)
     masked_bob = _masked_indices(num_words, idx_bob, l)
     flat = broadcast.broadcast_decode(got_masked, t).reshape(l, t + 1)
     errors = pseudobasis.recover_error(code, eb, flat[:, :t])
@@ -220,16 +213,13 @@ def special_word_search(code, pb, t):
     f = code.field
     w = len(pb)
     X, E, ok = code.unique_decode_batch(pb.words)
-    for i in range(w):
-        if not ok[i]:
-            mu = f.zeros(w)
-            mu[i] = 1
-            return pb.words[i].copy(), mu
-    for i in range(w):
-        if 3 * np.count_nonzero(E[i]) > t:
-            mu = f.zeros(w)
-            mu[i] = 1
-            return pb.words[i].copy(), mu
+    single = np.nonzero(~ok)[0]
+    if not single.size:
+        single = np.nonzero(3 * np.count_nonzero(E, axis=1) > t)[0]
+    if single.size:
+        mu = f.zeros(w)
+        mu[single[0]] = 1
+        return pb.words[single[0]].copy(), mu
     mu = f.zeros(w)
     mu[0] = 1
     acc_err = E[0].copy()
@@ -290,17 +280,13 @@ def receive_pseudo_basis_fast(ctx, delivered, originals, width):
     code = ctx.code
     num_words = originals.shape[0]
     w = int(broadcast.broadcast_decode(delivered["marker"], t)[0])
-    if w > min(t, num_words):
-        raise ProtocolViolation("announced pseudo-basis larger than t")
+    _check_pseudo_basis(w, t, num_words)
     if w == 0:
-        eb = pseudobasis.ErrorBasis([], f.zeros((0, n)), f.zeros((0, n - code.k)),
-                                    np.array([], dtype=np.int64))
-        return eb, {"w": 0, "special_weight": None}
+        return pseudobasis.empty_error_basis(code), {"w": 0, "special_weight": None}
     head = broadcast.broadcast_decode(delivered["head"], t)
     idx = _decode_indices(head[: w * width], width, f.q)
     mu = head[w * width:]
-    if len(set(idx)) != w or max(idx) >= num_words:
-        raise ProtocolViolation("pseudo-basis indices out of range")
+    _check_pseudo_basis(w, t, num_words, idx)
     special = broadcast.broadcast_decode(delivered["special"], t)
     expected = gf.mat_mul(f, mu[None, :], originals[idx])[0]
     e_special = f.vsub(special, expected)
@@ -369,10 +355,8 @@ def run_improved(params, secrets, adversary=None, rng=None, bob_words=None,
     ctx = context if context is not None else ProtocolContext(params)
     n, t, l, f = params.n, params.t, params.l, params.field
     code = ctx.code
-    secrets = f.check_array(np.asarray(secrets, dtype=np.int64).reshape(-1))
-    if secrets.shape != (l,):
-        raise ValueError("expected %d secrets" % l)
-    session = _session(params, adversary, record_transcript)
+    secrets = _check_secrets(params, secrets)
+    session = ChannelSession(n, t, f, adversary, record_transcript)
     num_words = t + l + 1
     width = _index_width(num_words, f.q)
 
@@ -427,14 +411,11 @@ def receive_pseudo_basis_incremental(ctx, delivered, originals, width):
     code = ctx.code
     num_words = originals.shape[0]
     w = int(broadcast.broadcast_decode(delivered["marker"], t)[0])
-    if w > min(t, num_words):
-        raise ProtocolViolation("announced pseudo-basis larger than t")
+    _check_pseudo_basis(w, t, num_words)
     if w == 0:
-        return pseudobasis.ErrorBasis([], f.zeros((0, n)), f.zeros((0, n - code.k)),
-                                      np.array([], dtype=np.int64))
+        return pseudobasis.empty_error_basis(code)
     idx = _decode_indices(broadcast.broadcast_decode(delivered["head"], t), width, f.q)
-    if len(set(idx)) != w or max(idx) >= num_words:
-        raise ProtocolViolation("pseudo-basis indices out of range")
+    _check_pseudo_basis(w, t, num_words, idx)
     known = set()
     words = f.zeros((w, n))
     for i in range(w):
@@ -486,21 +467,41 @@ def privacy_audit(params, runner, adversary, budget=DEFAULT_AUDIT_BUDGET):
     secret values: perfect privacy holds iff the multisets coincide.  Every
     run is also required to deliver its secrets exactly.  Raises
     AuditBudgetExceeded (reporting the exact need) rather than sampling."""
-    f = params.field
     ctx = ProtocolContext(params)
-    k = ctx.code.k
     num_words = params.t + params.l + (1 if runner is run_improved else 0)
-    choices = (f.q**k) ** num_words
-    num_secrets = f.q**params.l
+    return _exhaustive_audit(ctx.code, num_words, params.l,
+                            _runner_step(params, runner, adversary, ctx), budget)
+
+
+def _runner_step(params, runner, adversary, ctx):
+    """Audit step that runs the protocol afresh for every secret value."""
+
+    def step(X, secrets, first):
+        for s in secrets:
+            result = runner(params, s, adversary, bob_words=X, context=ctx)
+            yield result.secrets, result.view_key
+
+    return step
+
+
+def _exhaustive_audit(code, num_words, l, step, budget):
+    """The enumeration behind both privacy audits.
+
+    For each choice X of num_words codewords of code, step(X, secrets, first)
+    yields, one secret value at a time and in the order of the rows of
+    secrets, the secrets delivered and the adversary's view key; first is
+    True on the first choice only.  Stops at the first delivery failure, so
+    a lazy step runs nothing past it."""
+    f = code.field
+    choices = (f.q**code.k) ** num_words
+    num_secrets = f.q**l
     required = choices * num_secrets
     if required > budget:
         raise AuditBudgetExceeded(required, budget)
     counters = [dict() for _ in range(num_secrets)]
-    secret_vecs = [
-        np.array([(s // f.q**j) % f.q for j in range(params.l)], dtype=np.int64)
-        for s in range(num_secrets)
-    ]
-    word_table = _all_codewords(ctx.code)
+    secrets = np.array([[(s // f.q**j) % f.q for j in range(l)]
+                        for s in range(num_secrets)], dtype=np.int64)
+    word_table = _all_codewords(code)
     nmsg = word_table.shape[0]
     digits = np.zeros(num_words, dtype=np.int64)
     runs = 0
@@ -510,12 +511,11 @@ def privacy_audit(params, runner, adversary, budget=DEFAULT_AUDIT_BUDGET):
             digits[i] = v % nmsg
             v //= nmsg
         X = word_table[digits]
-        for s in range(num_secrets):
-            result, key = _audit_run(params, runner, secret_vecs[s], adversary, X, ctx)
+        for s, (out, key) in enumerate(step(X, secrets, choice == 0)):
             runs += 1
-            if not np.array_equal(result.secrets, secret_vecs[s]):
+            if not np.array_equal(out, secrets[s]):
                 return AuditReport(False, runs, 0,
-                                   "reliability failure at secrets=%s" % secret_vecs[s])
+                                   "reliability failure at secrets=%s" % secrets[s])
             counters[s][key] = counters[s].get(key, 0) + 1
     base = counters[0]
     for s in range(1, num_secrets):
@@ -537,11 +537,6 @@ def _all_codewords(code):
     for j in range(code.k):
         msgs[:, j] = (np.arange(nmsg) // f.q**j) % f.q
     return code.encode(msgs)
-
-
-def _audit_run(params, runner, secrets, adversary, X, ctx):
-    result = runner(params, secrets, adversary, bob_words=X, context=ctx)
-    return result, result.view_key
 
 
 def audit_adversaries(params, seed=0):

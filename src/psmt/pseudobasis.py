@@ -41,6 +41,13 @@ class ErrorBasis:
         return len(self.indices)
 
 
+def empty_error_basis(code):
+    """The error basis of an empty pseudo-basis."""
+    f = code.field
+    return ErrorBasis([], f.zeros((0, code.n)), f.zeros((0, code.n - code.k)),
+                      np.array([], dtype=np.int64))
+
+
 def compute_pseudo_basis(code, words):
     """Greedy scan in input order, keeping each word whose syndrome is outside
     the span of the syndromes kept so far.  At most n - k words are kept.
@@ -81,16 +88,18 @@ def extract_error_basis(code, pb, originals):
 
     originals is the full stack of sent codewords, indexed by pb.indices.
     Raises ProtocolViolation if some extracted error is not actually an
-    error pattern the code can attribute (weight >= d), which cannot happen
-    for an in-model adversary when n - k <= t < d.
+    error pattern the code can attribute (weight >= d in the code's metric,
+    Hamming or rank), which cannot happen for an in-model adversary when
+    n - k <= t < d.
     """
     f = code.field
     originals = np.asarray(originals, dtype=np.int64)
     errors = f.vsub(pb.words, originals[pb.indices])
-    weights = np.count_nonzero(errors, axis=1)
-    if len(pb) and weights.max() >= code.d:
-        raise ProtocolViolation("pseudo-basis error of weight %d meets the code"
-                                % int(weights.max()))
+    if len(pb):
+        worst = int(code.weights(errors).max())
+        if worst >= code.d:
+            raise ProtocolViolation("pseudo-basis error of weight %d meets the code"
+                                    % worst)
     support = np.nonzero(np.any(errors != 0, axis=0))[0]
     return ErrorBasis(pb.indices, errors, pb.syndromes, support)
 

@@ -16,6 +16,13 @@ pseudo-basis (now F_{q^m}-linear) plus per-secret syndrome and masked value
 back.  The syndrome map is injective on spans all of whose elements have rank
 below the code distance; for spans of in-model errors this is checked by
 runtime assertions on every extracted and recovered error.
+
+The rest is shared with the Hamming setting: transmissions run over
+channels.ChannelSession (GeneralizedAdversary supplies the taps arrays .
+lambda^T and the injection delta . mu), the privacy pair is an
+mds.PrivacyPair, and rank_privacy_audit uses the enumeration of
+privacy_audit, running the secret-independent prefix once per choice of
+codewords for replay_safe strategies.
 """
 
 from dataclasses import dataclass
@@ -30,20 +37,23 @@ from .channels import (
     PHASE_PB_OVERHEAD,
     PHASE_PSEUDO_BASIS,
     PHASE_ROUND1,
-    CostLedger,
+    ChannelSession,
     ProtocolViolation,
-    Transcript,
+    view_bytes,
 )
+from .mds import PrivacyPair
 from .protocols import (
-    AuditBudgetExceeded,
-    AuditReport,
     DEFAULT_AUDIT_BUDGET,
     RunResult,
+    _check_pseudo_basis,
+    _check_secrets,
     _decode_indices,
-    _distinguishing_view,
     _encode_indices,
+    _exhaustive_audit,
     _index_width,
     _masked_indices,
+    _round_one_words,
+    _runner_step,
 )
 
 DECODE_TABLE_LIMIT = 1 << 16
@@ -134,34 +144,20 @@ class GabidulinCode:
         shape = (self.k,) if count is None else (count, self.k)
         return self.encode(self.field.random(rng, shape))
 
-
-def gabidulin_build(n, k, f, points=None):
-    return GabidulinCode(n, k, f, points)
-
-
-class RankPrivacyPair:
-    """[n, t+1] Gabidulin code plus mask row from the punctured parent."""
-
-    def __init__(self, code, parent, h, alpha):
-        self.code = code
-        self.parent = parent
-        self.h = h
-        self.alpha = alpha
-        self.field = code.field
-
-    def mask(self, words):
-        return self.field.vdot(self.h, np.asarray(words, dtype=np.int64))
+    def weights(self, words):
+        """Ranks of a stack of words."""
+        return rank_of_batch(self.field, words)
 
 
 def rank_privacy_pair(n, t, f):
     """Needs extension degree >= n+1 so the [n+1, t+1] parent exists."""
     if t < 0 or t + 1 > n:
         raise ValueError("need 0 <= t <= n-1, got t=%d n=%d" % (t, n))
-    parent = gabidulin_build(n + 1, t + 1, f)
-    code = gabidulin_build(n, t + 1, f)
+    parent = GabidulinCode(n + 1, t + 1, f)
+    code = GabidulinCode(n, t + 1, f)
     for row in parent.H:
         if row[n]:
-            return RankPrivacyPair(code, parent, row[:n].copy(), int(row[n]))
+            return PrivacyPair(code, parent, row[:n].copy(), int(row[n]))
     # all parity rows ending in zero would put a rank-1 word in the parent
     raise AssertionError("no usable parity row (unreachable for d > 1)")
 
@@ -170,8 +166,14 @@ def rank_broadcast_code(n, f):
     """The [n, 1] rank code: one symbol spread as c * points, rank distance n."""
     if f.q > DECODE_TABLE_LIMIT:
         raise ValueError("field too large for brute-force broadcast decoding")
-    code = gabidulin_build(n, 1, f)
+    code = GabidulinCode(n, 1, f)
     code.cand_words = f.vmul(np.arange(f.q, dtype=np.int64)[:, None], code.points[None, :])
+    # small enough (as at the audit sizes), a table holds every word's rank,
+    # indexed by the word read as a base-q number
+    code.word_ranks = None
+    if f.q**n <= DECODE_TABLE_LIMIT:
+        code.places = f.q ** np.arange(n, dtype=np.int64)
+        code.word_ranks = rank_of_batch(f, np.arange(f.q**n)[:, None] // code.places % f.q)
     return code
 
 
@@ -187,39 +189,21 @@ def rank_broadcast_decode(bcode, t, arrays):
     arrays = np.asarray(arrays, dtype=np.int64)
     nb = arrays.shape[0]
     diffs = f.vsub(arrays[:, None, :], bcode.cand_words[None, :, :])
-    ranks = rank_of_batch(f, diffs.reshape(nb * f.q, -1)).reshape(nb, f.q)
+    if bcode.word_ranks is not None:
+        ranks = bcode.word_ranks[diffs @ bcode.places]
+    else:
+        ranks = rank_of_batch(f, diffs.reshape(nb * f.q, -1)).reshape(nb, f.q)
     within = ranks <= t
     if np.any(within.sum(axis=1) != 1):
         raise ProtocolViolation("rank broadcast not uniquely decodable")
     return np.argmax(within, axis=1).astype(np.int64)
 
 
-def rank_extract_error_basis(code, pb, originals):
-    """Pseudo-basis words minus originals, asserting every basis error has
-    rank below the code distance (the span hypothesis, checked pointwise)."""
-    f = code.field
-    originals = np.asarray(originals, dtype=np.int64)
-    errors = f.vsub(pb.words, originals[pb.indices])
-    if len(pb):
-        ranks = rank_of_batch(f, errors)
-        if int(ranks.max()) >= code.d:
-            raise ProtocolViolation("pseudo-basis error of rank %d meets the code"
-                                    % int(ranks.max()))
-    return pseudobasis.ErrorBasis(pb.indices, errors, pb.syndromes,
-                                  np.array([], dtype=np.int64))
-
-
-def rank_pseudo_basis(code, words):
-    """F_{q^m}-linear pseudo-basis of the received words' syndromes."""
-    return pseudobasis.compute_pseudo_basis(code, words)
-
-
 def rank_recover_error(code, basis, syndromes):
     """Syndrome decomposition in the basis span, asserting the recovered
     errors stay below the code distance in rank."""
     errors = pseudobasis.recover_error(code, basis, syndromes)
-    stack = errors[None, :] if errors.ndim == 1 else errors
-    ranks = rank_of_batch(code.field, stack)
+    ranks = code.weights(np.atleast_2d(errors))
     if len(ranks) and int(ranks.max()) >= code.d:
         raise ProtocolViolation("recovered error of rank %d meets the code"
                                 % int(ranks.max()))
@@ -256,8 +240,23 @@ class GeneralizedAdversary:
     def t(self):
         return self.lambdas.shape[0]
 
+    def check_length(self, n):
+        if self.lambdas.shape[1] != n or self.mus.shape != self.lambdas.shape:
+            raise ValueError("lambda and mu must both be (t, %d) arrays" % n)
+
     def reset(self):
         pass
+
+    def tap(self, arrays):
+        return gf.mat_mul(self.field, arrays, self.lambdas.T)
+
+    def reply(self, direction, phase, taps, view):
+        return self.deltas(direction, phase, taps, view)
+
+    def inject(self, arrays, taps, reply):
+        if not reply.any():
+            return arrays
+        return self.field.vadd(arrays, gf.mat_mul(self.field, reply, self.mus))
 
     def deltas(self, direction, phase, taps, view):
         return np.zeros(taps.shape, dtype=np.int64)
@@ -330,60 +329,10 @@ def random_generalized_adversary(n, t, f, rng):
     return RankNoiseAdversary(lam, mu, f, int(rng.integers(0, 2**63 - 1)))
 
 
-class RankChannelSession:
-    """Transmissions under the generalized adversary; same ledger, transcript
-    and view semantics as the coordinate-corruption session."""
-
-    def __init__(self, n, t, f, adversary=None, record_transcript=False):
-        if adversary is not None and adversary.t > t:
-            raise ValueError("adversary uses %d vector pairs, budget is %d"
-                             % (adversary.t, t))
-        self.n = n
-        self.t = t
-        self.field = f
-        self.adversary = adversary
-        self.ledger = CostLedger(f.q)
-        self.transcript = Transcript() if record_transcript else None
-        self.eve_view = []
-        if adversary is not None:
-            adversary.reset()
-
-    def transmit(self, direction, arrays, phase, public=False):
-        f = self.field
-        arrays = np.asarray(arrays, dtype=np.int64)
-        if arrays.ndim != 2 or arrays.shape[1] != self.n:
-            raise ValueError("transmission must be a stack of length-%d arrays" % self.n)
-        self.ledger.add(phase, direction, arrays.size)
-        delivered = arrays
-        adv = self.adversary
-        if adv is not None and adv.t > 0 and arrays.shape[0] > 0:
-            taps = gf.mat_mul(f, arrays, self.adversary.lambdas.T)
-            self.eve_view.append(("tap", direction, phase, taps))
-            deltas = np.asarray(
-                adv.deltas(direction, phase, taps.copy(), self.eve_view),
-                dtype=np.int64)
-            if deltas.shape != taps.shape:
-                raise ValueError("delta block has shape %r, expected %r"
-                                 % (deltas.shape, taps.shape))
-            if deltas.any():
-                err = gf.mat_mul(f, deltas, adv.mus)
-                delivered = f.vadd(arrays, err)
-        if public:
-            self.eve_view.append(("public", direction, phase, arrays))
-        if self.transcript is not None:
-            self.transcript.append(direction, phase, public, arrays, delivered)
-        return delivered
-
-    def view_key(self):
-        return _view_bytes(self.eve_view)
-
-
-def _view_bytes(entries):
-    parts = []
-    for kind, direction, phase, arr in entries:
-        parts.append(("%s|%s|%s|%r|" % (kind, direction, phase, arr.shape)).encode())
-        parts.append(arr.tobytes())
-    return b"".join(parts)
+# The rank setting runs over the one ChannelSession.  The name stays because
+# the benchmark's tracer wraps vars(rankmetric.RankChannelSession)["transmit"];
+# it goes with the next change to the benchmark.
+RankChannelSession = ChannelSession
 
 
 @dataclass
@@ -427,7 +376,7 @@ def _rank_common(params, ctx, session, X):
     width = _index_width(num_words, f.q)
 
     Y = session.transmit(BOB_TO_ALICE, X, PHASE_ROUND1)
-    pb = rank_pseudo_basis(code, Y)
+    pb = pseudobasis.compute_pseudo_basis(code, Y)
     w = len(pb)
     masked = _masked_indices(num_words, pb.indices, l)
     syns = code.syndrome(Y[masked])
@@ -448,19 +397,16 @@ def _rank_common(params, ctx, session, X):
         PHASE_MASKED, public=True)
 
     w_bob = int(rank_broadcast_decode(bcode, t, got_marker)[0])
-    if w_bob > min(t, num_words):
-        raise ProtocolViolation("announced pseudo-basis larger than t")
+    _check_pseudo_basis(w_bob, t, num_words)
     if w_bob:
         idx_bob = _decode_indices(rank_broadcast_decode(bcode, t, got_idx), width, f.q)
-        if len(set(idx_bob)) != w_bob or max(idx_bob) >= num_words:
-            raise ProtocolViolation("pseudo-basis indices out of range")
+        _check_pseudo_basis(w_bob, t, num_words, idx_bob)
         words_bob = rank_broadcast_decode(bcode, t, got_words).reshape(w_bob, n)
         pb_bob = pseudobasis.PseudoBasis(idx_bob, words_bob, code.syndrome(words_bob))
-        eb = rank_extract_error_basis(code, pb_bob, X)
+        eb = pseudobasis.extract_error_basis(code, pb_bob, X)
     else:
         idx_bob = []
-        eb = pseudobasis.ErrorBasis([], f.zeros((0, n)), f.zeros((0, n - code.k)),
-                                    np.array([], dtype=np.int64))
+        eb = pseudobasis.empty_error_basis(code)
     masked_bob = _masked_indices(num_words, idx_bob, l)
     syn_bob = rank_broadcast_decode(bcode, t, got_syns).reshape(l, n - code.k)
     errors = rank_recover_error(code, eb, syn_bob)
@@ -488,17 +434,9 @@ def run_rank_protocol(params, secrets, adversary=None, rng=None, bob_words=None,
     down; pseudo-basis, per-secret syndromes and masked values back, every
     return symbol spread over the [n, 1] rank code."""
     ctx = context if context is not None else RankContext(params)
-    n, t, l, f = params.n, params.t, params.l, params.field
-    secrets = f.check_array(np.asarray(secrets, dtype=np.int64).reshape(-1))
-    if secrets.shape != (l,):
-        raise ValueError("expected %d secrets" % l)
-    session = RankChannelSession(n, t, f, adversary, record_transcript)
-    if bob_words is None:
-        if rng is None:
-            rng = np.random.default_rng()
-        X = ctx.code.random_codeword(rng, t + l)
-    else:
-        X = np.asarray(bob_words, dtype=np.int64)
+    secrets = _check_secrets(params, secrets)
+    session = ChannelSession(params.n, params.t, params.field, adversary, record_transcript)
+    X = _round_one_words(ctx.code, params.t + params.l, rng, bob_words)
     common = _rank_common(params, ctx, session, X)
     out = _rank_deliver(params, ctx, session, common, secrets)
     vk = session.view_key() if adversary is not None else b""
@@ -526,101 +464,49 @@ def rank_audit_adversaries(params, seed=0):
 
 def rank_privacy_audit(params, adversary, budget=DEFAULT_AUDIT_BUDGET):
     """Exhaustive perfect-privacy check of run_rank_protocol against one
-    deterministic generalized strategy; same verdict semantics as the
+    deterministic generalized strategy; same enumeration and verdicts as the
     coordinate-model audit."""
-    f = params.field
     ctx = RankContext(params)
-    k = ctx.code.k
-    num_words = params.t + params.l
-    choices = (f.q**k) ** num_words
-    num_secrets = f.q**params.l
-    required = choices * num_secrets
-    if required > budget:
-        raise AuditBudgetExceeded(required, budget)
-    counters = [dict() for _ in range(num_secrets)]
-    secret_vecs = [
-        np.array([(s // f.q**j) % f.q for j in range(params.l)], dtype=np.int64)
-        for s in range(num_secrets)
-    ]
-    from .protocols import _all_codewords
+    if getattr(adversary, "replay_safe", False) and adversary.t > 0:
+        step = _shared_prefix_step(params, adversary, ctx)
+    else:
+        step = _runner_step(params, run_rank_protocol, adversary, ctx)
+    return _exhaustive_audit(ctx.code, params.t + params.l, params.l, step, budget)
 
-    word_table = _all_codewords(ctx.code)
-    nmsg = word_table.shape[0]
-    digits = np.zeros(num_words, dtype=np.int64)
-    runs = 0
-    fast = bool(getattr(adversary, "replay_safe", False)) and adversary.t > 0
-    secret_mat = np.stack(secret_vecs)
-    for choice in range(choices):
-        v = choice
-        for i in range(num_words):
-            digits[i] = v % nmsg
-            v //= nmsg
-        X = word_table[digits]
-        if fast:
-            session = RankChannelSession(params.n, params.t, f, adversary)
-            common = _rank_common(params, ctx, session, X)
-            view = session.eve_view
-            base = len(view)
-            prefix = _view_bytes(view)
-            # The masked payloads for all secret values at once; each secret
-            # still gets its own deltas() call on the correct view so the
-            # strategy sees exactly what it would in a fresh run.
-            Z = f.vadd(secret_mat, common["mask_alice"])
-            enc = rank_broadcast_encode(ctx.bcast, Z.reshape(-1)).reshape(
-                num_secrets, params.l, params.n)
-            taps_all = gf.mat_mul(f, enc.reshape(-1, params.n),
-                                  adversary.lambdas.T).reshape(
-                num_secrets, params.l, adversary.t)
-            delivered = []
-            tails = []
-            for s in range(num_secrets):
-                del view[base:]
-                arrays = enc[s]
-                taps = taps_all[s]
-                view.append(("tap", ALICE_TO_BOB, PHASE_MASKED, taps))
-                d = np.asarray(adversary.deltas(ALICE_TO_BOB, PHASE_MASKED,
-                                                taps.copy(), view),
-                               dtype=np.int64)
-                if d.shape != taps.shape:
-                    raise ValueError("delta block has shape %r, expected %r"
-                                     % (d.shape, taps.shape))
-                got = f.vadd(arrays, gf.mat_mul(f, d, adversary.mus)) \
-                    if d.any() else arrays
-                view.append(("public", ALICE_TO_BOB, PHASE_MASKED, arrays))
-                delivered.append(got)
-                tails.append(_view_bytes(view[base:]))
-            z_dec = rank_broadcast_decode(ctx.bcast, params.t,
-                                          np.concatenate(delivered))
-            outs = f.vsub(z_dec.reshape(num_secrets, params.l),
-                          common["mask_bob"])
-            for s in range(num_secrets):
-                runs += 1
-                if not np.array_equal(outs[s], secret_vecs[s]):
-                    return AuditReport(False, runs, 0,
-                                       "reliability failure at secrets=%s" % secret_vecs[s])
-                vk = prefix + tails[s]
-                if choice == 0:
-                    ref = run_rank_protocol(params, secret_vecs[s], adversary,
-                                            bob_words=X, context=ctx)
-                    if ref.view_key != vk or not np.array_equal(ref.secrets, outs[s]):
-                        raise RuntimeError(
-                            "shared-round audit path diverged from a fresh run")
-                counters[s][vk] = counters[s].get(vk, 0) + 1
-        else:
-            for s in range(num_secrets):
-                result = run_rank_protocol(params, secret_vecs[s], adversary,
-                                           bob_words=X, context=ctx)
-                runs += 1
-                if not np.array_equal(result.secrets, secret_vecs[s]):
-                    return AuditReport(False, runs, 0,
-                                       "reliability failure at secrets=%s" % secret_vecs[s])
-                counters[s][result.view_key] = counters[s].get(result.view_key, 0) + 1
-    base = counters[0]
-    for s in range(1, num_secrets):
-        if counters[s] != base:
-            return AuditReport(False, runs, len(base),
-                               "view multisets differ between secrets 0 and %d; "
-                               "distinguishing view (hex) %s"
-                               % (s, _distinguishing_view(base, counters[s])))
-    return AuditReport(True, runs, len(base),
-                       "all %d secret values give identical view multisets" % num_secrets)
+
+def _shared_prefix_step(params, adversary, ctx):
+    """Audit step for a replay_safe strategy.  Everything before the masked
+    payload runs once per choice of codewords; each secret value then gets
+    only the payload, on the view restored to where the prefix left it, so
+    the strategy sees exactly what it would in a fresh run.  On the first
+    choice every secret is also checked against a fresh run."""
+    n, t, l, f = params.n, params.t, params.l, params.field
+
+    def step(X, secrets, first):
+        session = ChannelSession(n, t, f, adversary)
+        common = _rank_common(params, ctx, session, X)
+        view = session.eve_view
+        base = len(view)
+        prefix = view_bytes(view)
+        # the masked payloads and their taps for all secret values at once
+        num = secrets.shape[0]
+        enc = rank_broadcast_encode(ctx.bcast, f.vadd(secrets, common["mask_alice"]))
+        taps = adversary.tap(enc).reshape(num, l, adversary.t)
+        enc = enc.reshape(num, l, n)
+        delivered, keys = [], []
+        for s in range(num):
+            del view[base:]
+            delivered.append(session.intercept(ALICE_TO_BOB, PHASE_MASKED, enc[s], taps[s]))
+            view.append(("public", ALICE_TO_BOB, PHASE_MASKED, enc[s]))
+            keys.append(prefix + view_bytes(view[base:]))
+        z = rank_broadcast_decode(ctx.bcast, t, np.concatenate(delivered))
+        outs = f.vsub(z.reshape(num, l), common["mask_bob"])
+        for s in range(num):
+            yield outs[s], keys[s]
+            if first:
+                ref = run_rank_protocol(params, secrets[s], adversary, bob_words=X,
+                                        context=ctx)
+                if ref.view_key != keys[s] or not np.array_equal(ref.secrets, outs[s]):
+                    raise RuntimeError("shared-round audit path diverged from a fresh run")
+
+    return step

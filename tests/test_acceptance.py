@@ -16,6 +16,7 @@ from psmt import broadcast, gf, mds, pseudobasis
 from psmt.channels import (
     ALICE_TO_BOB,
     PHASE_PSEUDO_BASIS,
+    ChannelSession,
     builtin_adversaries,
 )
 from psmt.cli import main
@@ -29,9 +30,9 @@ from psmt.protocols import (
     special_word_search,
 )
 from psmt.rankmetric import (
+    GabidulinCode,
     RankContext,
     RankParams,
-    gabidulin_build,
     random_generalized_adversary,
     rank_audit_adversaries,
     rank_of_batch,
@@ -163,7 +164,7 @@ def test_criterion_05():
                 errors[i, i] = 1 + (i % (f.q - 1))
             pb = pseudobasis.compute_pseudo_basis(code, f.vadd(x, errors))
             assert len(pb) == w
-            session = protocols._session(params, None, False)
+            session = ChannelSession(n, t, f)
             delivered = protocols.send_pseudo_basis_incremental(ctx, session,
                                                                 pb, width)
             cost = session.ledger.counts.get(
@@ -242,7 +243,7 @@ def test_criterion_08():
     # unique decoding agrees with brute-force nearest codeword, including
     # every no-decode verdict
     f5 = gf.field(5)
-    code = mds.rs_build(3, 2, f5)
+    code = mds.ReedSolomonCode(3, 2, f5)
     words = _all_codewords(code)
     for y in itertools.product(range(5), repeat=3):
         y = np.array(y, dtype=np.int64)
@@ -254,7 +255,7 @@ def test_criterion_08():
             assert got is not None and np.array_equal(got[0], want)
 
     f7 = gf.field(7)
-    code = mds.rs_build(5, 3, f7)
+    code = mds.ReedSolomonCode(5, 3, f7)
     words = _all_codewords(code)
     rng = np.random.default_rng(8)
     Y = f7.random(rng, (10000, 5))
@@ -270,7 +271,7 @@ def test_criterion_08():
     assert hits > 1000  # both verdicts well represented
 
     f13 = gf.field(13)
-    code = mds.rs_build(11, 6, f13)
+    code = mds.ReedSolomonCode(11, 6, f13)
     assert code.radius == 2
     table = _syndrome_table(code, 2)
     Y = f13.random(rng, (10000, 11))
@@ -307,7 +308,7 @@ def test_criterion_09():
     rng = np.random.default_rng(12)
     payload_draws = 0
     for m in range(t + 1):
-        code = mds.rs_build(n, m + 1, f)
+        code = mds.ReedSolomonCode(n, m + 1, f)
         for s in range(m, t + 1):
             for known_bad in itertools.combinations(range(n), s):
                 keep = [i for i in range(n) if i not in known_bad]
@@ -335,7 +336,7 @@ def test_criterion_09():
             u = int(rng.integers(0, t - s + 1))
             support = tuple(rng.choice(keep, size=u, replace=False))
             values = tuple(1 + rng.integers(0, f.q - 1, size=u))
-            code = mds.rs_build(n, m + 1, f)
+            code = mds.ReedSolomonCode(n, m + 1, f)
             payload = f.random(rng, int(rng.integers(1, 3 * (m + 1) + 1)))
             _broadcast_case(f, code, t, known_bad, support, values, payload,
                             rng)
@@ -361,7 +362,7 @@ def test_criterion_10():
         prods = gf.mat_mul(f, all_vecs, np.array([a], dtype=np.int64).T)
         planes.append(all_vecs[prods[:, 0] == 0])
     for k in (1, 2):
-        code = gabidulin_build(3, k, f)
+        code = GabidulinCode(3, k, f)
         d = 3 - k + 1
         words = _all_codewords(code)
         assert int(rank_of_batch(f, words[1:]).min()) == d

@@ -38,7 +38,7 @@ def test_plain_decode_exhaustive_n3():
 
 def test_gen_encode_m0_is_repetition():
     f = gf.field(7)
-    c0 = mds.rs_build(5, 1, f)
+    c0 = mds.ReedSolomonCode(5, 1, f)
     sym = np.array([3, 0, 6])
     assert np.array_equal(broadcast.gen_broadcast_encode(c0, sym),
                           broadcast.broadcast_encode(5, sym))
@@ -46,7 +46,7 @@ def test_gen_encode_m0_is_repetition():
 
 def test_gen_encode_chunking():
     f = gf.field(7)
-    c2 = mds.rs_build(5, 3, f)
+    c2 = mds.ReedSolomonCode(5, 3, f)
     one = broadcast.gen_broadcast_encode(c2, [1, 2, 3])
     assert one.shape == (1, 5)
     assert c2.contains(one[0])
@@ -62,7 +62,7 @@ def test_gen_encode_chunking():
 def test_gen_decode_roundtrip_no_errors():
     f = gf.field(7)
     for m in range(3):
-        code = mds.rs_build(5, m + 1, f)
+        code = mds.ReedSolomonCode(5, m + 1, f)
         payload = np.array([1, 2, 3, 4, 5, 6])
         sent = broadcast.gen_broadcast_encode(code, payload)
         got = broadcast.gen_broadcast_decode(code, 2, sent, list(range(m)))
@@ -72,7 +72,7 @@ def test_gen_decode_roundtrip_no_errors():
 def test_gen_decode_known_bad_only():
     # both corrupted channels known: erased entirely, values irrelevant
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     payload = np.array([5, 1, 0])
     sent = broadcast.gen_broadcast_encode(code, payload)
     for bad in itertools.combinations(range(5), 2):
@@ -85,7 +85,7 @@ def test_gen_decode_known_bad_only():
 
 def test_gen_decode_one_known_one_unknown():
     f = gf.field(7)
-    code = mds.rs_build(5, 2, f)
+    code = mds.ReedSolomonCode(5, 2, f)
     payload = np.array([4, 2])
     sent = broadcast.gen_broadcast_encode(code, payload)
     for known in range(5):
@@ -103,7 +103,7 @@ def test_gen_decode_one_known_one_unknown():
 
 def test_gen_decode_argument_validation():
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     sent = broadcast.gen_broadcast_encode(code, [1, 2, 3])
     with pytest.raises(ValueError):
         broadcast.gen_broadcast_decode(code, 2, sent, [0])  # fewer than m known
@@ -112,7 +112,7 @@ def test_gen_decode_argument_validation():
 
 
 def test_gen_decode_refuses_channels_out_of_range():
-    code = mds.rs_build(5, 3, gf.field(7))
+    code = mds.ReedSolomonCode(5, 3, gf.field(7))
     sent = broadcast.gen_broadcast_encode(code, [1, 2, 3])
     for known in ([-1, 0], [0, 5]):
         with pytest.raises(ValueError):
@@ -123,7 +123,7 @@ def test_gen_decode_out_of_model_raises_or_is_caught():
     # m=2 with an unknown error on top of two known channels exceeds the
     # model; the decode must not silently return a wrong payload
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     payload = np.array([5, 1, 0])
     sent = broadcast.gen_broadcast_encode(code, payload)
     recv = sent.copy()
@@ -154,7 +154,7 @@ def test_gen_roundtrip_in_model_sweep(n):
     f = gf.field(gf.next_prime_above(n))
     rng = np.random.default_rng(n)
     for m in range(t + 1):
-        code = mds.rs_build(n, m + 1, f)
+        code = mds.ReedSolomonCode(n, m + 1, f)
         for known, errs in _in_model_cases(n, t, rng, 60):
             if len(known) < m:
                 continue
@@ -171,7 +171,7 @@ def test_gen_roundtrip_in_model_sweep(n):
 def test_decode_with_erasures_matches_plain_when_m0():
     # m = 0 with known bad channels: majority over the kept columns only
     f = gf.field(7)
-    code = mds.rs_build(5, 1, f)
+    code = mds.ReedSolomonCode(5, 1, f)
     sent = broadcast.gen_broadcast_encode(code, [6])
     recv = sent.copy()
     recv[0, [0, 1]] = [1, 2]

@@ -1,6 +1,5 @@
 import io
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from psmt.channels import (
     PHASE_ROUND1,
     AdversaryFault,
     AdversaryStrategy,
-    ChannelBundle,
     ChannelSession,
     CostLedger,
     PassiveAdversary,
@@ -21,32 +19,40 @@ from psmt.channels import (
     ReplayAdversary,
     TargetedSyndromeAdversary,
     builtin_adversaries,
-    cost_report,
 )
+from psmt.rankmetric import GeneralizedAdversary
 
 
 def make_session(n=5, t=2, corrupted=(0, 1), q=7, adv_cls=PassiveAdversary,
                  record_transcript=False, **kw):
     f = gf.field(q)
-    bundle = ChannelBundle(n, t, corrupted, f)
     adv = adv_cls(corrupted, f, **kw) if adv_cls else None
-    return ChannelSession(bundle, adv, record_transcript=record_transcript), f
+    return ChannelSession(n, t, f, adv, record_transcript=record_transcript), f
 
 
 def test_bundle_validation():
+    # the session holds the adversary to the budget of t channels
     f = gf.field(7)
     with pytest.raises(ValueError):
-        ChannelBundle(5, 2, (0, 1, 2), f)
-    with pytest.raises(ValueError):
-        ChannelBundle(5, 2, (0, 5), f)
-    ChannelBundle(5, 2, (), f)  # passive-empty is legal
+        ChannelSession(5, 2, f, PassiveAdversary((0, 1, 2), f))
+    ChannelSession(5, 2, f, PassiveAdversary((0, 1), f))
+    ChannelSession(5, 2, f, PassiveAdversary((), f))  # passive-empty is legal
+    ChannelSession(5, 2, f)
 
 
 def test_session_rejects_mismatched_adversary():
+    # an adversary must fit the n channels: no channel index past n - 1,
+    # and eavesdrop and tamper vectors of length n
     f = gf.field(7)
-    bundle = ChannelBundle(5, 2, (0, 1), f)
     with pytest.raises(ValueError):
-        ChannelSession(bundle, PassiveAdversary((0, 2), f))
+        ChannelSession(5, 2, f, PassiveAdversary((0, 5), f))
+    f16 = gf.field(2, 4)
+    ones = np.ones((1, 3), dtype=np.int64)
+    with pytest.raises(ValueError):
+        ChannelSession(5, 2, f16, GeneralizedAdversary(ones, ones, f16))
+    with pytest.raises(ValueError):
+        ChannelSession(3, 1, f16, GeneralizedAdversary(ones, np.ones((1, 4)), f16))
+    ChannelSession(3, 1, f16, GeneralizedAdversary(ones, ones, f16))
 
 
 def test_passive_delivers_verbatim():
@@ -114,15 +120,10 @@ def test_ledger_counts_and_bits():
     assert "round1,bob->alice,15,45" in lines
 
 
-def test_empty_ledger_and_cost_report():
+def test_empty_ledger():
     led = CostLedger(7)
     assert led.symbols() == 0 and led.bits() == 0
-    rep = cost_report(led)
-    assert rep["total_symbols"] == 0
-    session, _ = make_session()
-    session.transmit(BOB_TO_ALICE, np.zeros((3, 5), dtype=np.int64), PHASE_ROUND1)
-    rep = cost_report(session.ledger, num_secrets=2)
-    assert rep["rate"] == Fraction(15, 2)
+    assert led.rows() == []
 
 
 def test_eve_view_taps_and_public():
@@ -162,8 +163,7 @@ def test_transcript_structure_and_log():
 
 def test_transcript_log_extension_field_coefficients():
     f = gf.field(2, 3)
-    bundle = ChannelBundle(3, 1, (), f)
-    session = ChannelSession(bundle, None, record_transcript=True)
+    session = ChannelSession(3, 1, f, None, record_transcript=True)
     session.transmit(BOB_TO_ALICE, np.array([[0, 1, 6]]), PHASE_ROUND1)
     fh = io.StringIO()
     session.transcript.write_log(fh, field=f)

@@ -56,6 +56,12 @@ def test_field_of_order():
     assert f16.p == 2 and f16.m == 4
     with pytest.raises(ValueError):
         gf.field_of_order(6)
+    with pytest.raises(ValueError):
+        gf.field_of_order(1)
+    # trial division stops at sqrt(q), about 3,200 steps for this prime
+    assert gf.field_of_order(10000019).p == 10000019
+    f3 = gf.field_of_order(3**5)
+    assert (f3.p, f3.m) == (3, 5)
 
 
 def test_construction_errors():
@@ -140,23 +146,6 @@ def test_zero_inverse_raises():
             f.inv(0)
         with pytest.raises(ZeroDivisionError):
             f.vinv(np.array([1, 0, 2]))
-
-
-def test_element_wrapper():
-    f = gf.field(7)
-    a, b = f(3), f(5)
-    assert (a + b).value == 1
-    assert (a * b).value == 1
-    assert (a - b).value == 5
-    assert (-a).value == 4
-    assert (a / b).value == f.div(3, 5)
-    assert (a**3).value == 6
-    assert a + 4 == 0
-    g = gf.field(5)
-    with pytest.raises(ValueError):
-        _ = a + g(1)
-    with pytest.raises(ValueError):
-        f(9)
 
 
 def test_pow_negative_exponent():

@@ -27,19 +27,19 @@ def brute_nearest(code, y, table=None):
 def test_build_validation():
     f = gf.field(5)
     with pytest.raises(ValueError):
-        mds.rs_build(5, 2, f)  # needs 5 nonzero points, F_5 has 4
+        mds.ReedSolomonCode(5, 2, f)  # needs 5 nonzero points, F_5 has 4
     with pytest.raises(ValueError):
-        mds.rs_build(3, 4, f)
+        mds.ReedSolomonCode(3, 4, f)
     with pytest.raises(ValueError):
-        mds.rs_build(3, 0, f)
+        mds.ReedSolomonCode(3, 0, f)
     with pytest.raises(ValueError):
-        mds.rs_build(3, 2, f, points=[1, 1, 2])
+        mds.ReedSolomonCode(3, 2, f, points=[1, 1, 2])
     with pytest.raises(ValueError):
-        mds.rs_build(3, 2, f, points=[0, 1, 2])
+        mds.ReedSolomonCode(3, 2, f, points=[0, 1, 2])
 
 
 def test_encode_frozen_values():
-    code = mds.rs_build(3, 2, gf.field(5))
+    code = mds.ReedSolomonCode(3, 2, gf.field(5))
     assert np.array_equal(code.points, [1, 2, 3])
     assert np.array_equal(code.encode([1, 1]), [2, 3, 4])
     assert np.array_equal(code.encode([0, 1]), [1, 2, 3])
@@ -51,7 +51,7 @@ def test_encode_frozen_values():
     [(3, 2, 5), (4, 2, 5), (5, 3, 7), (5, 1, 7), (6, 3, 7), (3, 3, 5), (7, 4, 8)],
 )
 def test_parity_annihilates_and_min_distance(n, k, q):
-    code = mds.rs_build(n, k, gf.field_of_order(q))
+    code = mds.ReedSolomonCode(n, k, gf.field_of_order(q))
     table = all_codewords(code)
     assert not np.any(code.syndrome(table))
     if k < n:
@@ -61,7 +61,7 @@ def test_parity_annihilates_and_min_distance(n, k, q):
 
 
 def test_syndrome_zero_iff_codeword():
-    code = mds.rs_build(4, 2, gf.field(5))
+    code = mds.ReedSolomonCode(4, 2, gf.field(5))
     cws = {tuple(map(int, c)) for c in all_codewords(code)}
     for y in itertools.product(range(5), repeat=4):
         word = np.array(y, dtype=np.int64)
@@ -69,7 +69,7 @@ def test_syndrome_zero_iff_codeword():
 
 
 def test_empty_parity_check():
-    code = mds.rs_build(3, 3, gf.field(5))
+    code = mds.ReedSolomonCode(3, 3, gf.field(5))
     assert code.H.shape == (0, 3)
     assert code.d == 1
     y = np.array([4, 0, 2], dtype=np.int64)
@@ -78,7 +78,7 @@ def test_empty_parity_check():
 
 
 def test_random_codeword_uniform():
-    code = mds.rs_build(3, 2, gf.field(5))
+    code = mds.ReedSolomonCode(3, 2, gf.field(5))
     rng = np.random.default_rng(42)
     draws = code.random_codeword(rng, 10000)
     keys = draws[:, 0] * 25 + draws[:, 1] * 5 + draws[:, 2]
@@ -96,7 +96,7 @@ def test_random_codeword_uniform():
 
 
 def test_unique_decode_all_single_errors():
-    code = mds.rs_build(5, 3, gf.field(7))
+    code = mds.ReedSolomonCode(5, 3, gf.field(7))
     assert code.radius == 1
     table = all_codewords(code)
     rng = np.random.default_rng(1)
@@ -115,7 +115,7 @@ def test_unique_decode_all_single_errors():
 
 
 def test_unique_decode_matches_oracle_random_words():
-    code = mds.rs_build(5, 3, gf.field(7))
+    code = mds.ReedSolomonCode(5, 3, gf.field(7))
     table = all_codewords(code)
     rng = np.random.default_rng(2)
     words = rng.integers(0, 7, size=(500, 5)).astype(np.int64)
@@ -132,7 +132,7 @@ def test_unique_decode_matches_oracle_random_words():
 
 def test_radius_zero_code():
     # [3,2] over F_5 has d = 2, radius 0: decode only exact codewords
-    code = mds.rs_build(3, 2, gf.field(5))
+    code = mds.ReedSolomonCode(3, 2, gf.field(5))
     table = all_codewords(code)
     cws = {tuple(map(int, c)) for c in table}
     for y in itertools.product(range(5), repeat=3):
@@ -145,7 +145,7 @@ def test_radius_zero_code():
 
 def test_decode_beyond_radius_never_lies():
     # whenever decoding succeeds the output is a codeword within the radius
-    code = mds.rs_build(7, 3, gf.field(11))
+    code = mds.ReedSolomonCode(7, 3, gf.field(11))
     rng = np.random.default_rng(3)
     words = rng.integers(0, 11, size=(400, 7)).astype(np.int64)
     X, E, ok = code.unique_decode_batch(words)
@@ -160,7 +160,7 @@ def test_syndrome_injective_below_distance():
     # the syndrome map is injective on any subspace whose elements all have
     # weight < d; driver: nonzero words of weight < d never hit the kernel,
     # and words confined to a fixed support of size d-1 get distinct syndromes
-    code = mds.rs_build(5, 3, gf.field(7))
+    code = mds.ReedSolomonCode(5, 3, gf.field(7))
     for positions in itertools.combinations(range(5), 2):
         seen = set()
         for vals in itertools.product(range(7), repeat=2):
@@ -217,9 +217,9 @@ def test_privacy_pair_needs_room():
 def test_explicit_points_subset_code():
     # punctured construction: same polynomials on fewer points
     f = gf.field(11)
-    full = mds.rs_build(7, 3, f)
+    full = mds.ReedSolomonCode(7, 3, f)
     keep = [0, 2, 3, 5, 6]
-    sub = mds.rs_build(5, 3, f, points=full.points[keep])
+    sub = mds.ReedSolomonCode(5, 3, f, points=full.points[keep])
     rng = np.random.default_rng(8)
     msg = f.random(rng, (20, 3))
     assert np.array_equal(full.encode(msg)[:, keep], sub.encode(msg))
@@ -239,7 +239,7 @@ def _words_at_weight(code, rng, weight, count):
 def test_decoder_matches_oracle_every_weight_extension_fields(n, k, q):
     # even and odd n - k, characteristic 2 and 3: the verdict and codeword
     # agree with the brute-force nearest codeword at every error weight
-    code = mds.rs_build(n, k, gf.field_of_order(q))
+    code = mds.ReedSolomonCode(n, k, gf.field_of_order(q))
     f = code.field
     table = all_codewords(code)
     rng = np.random.default_rng([n, k, q])
@@ -261,14 +261,14 @@ def test_decoder_matches_oracle_every_weight_extension_fields(n, k, q):
 def test_errata_decode_matches_punctured_reference(n, k, q):
     # decoding with the erased channels as erasures agrees with nearest-
     # codeword decoding of the punctured code on the channels that are left
-    code = mds.rs_build(n, k, gf.field_of_order(q))
+    code = mds.ReedSolomonCode(n, k, gf.field_of_order(q))
     f = code.field
     rng = np.random.default_rng([n, k, q, 1])
     for _ in range(12):
         s = int(rng.integers(0, n - k + 1))
         erased = sorted(int(c) for c in rng.choice(n, size=s, replace=False))
         keep = [i for i in range(n) if i not in erased]
-        punct = mds.rs_build(n - s, k, f, points=code.points[keep])
+        punct = mds.ReedSolomonCode(n - s, k, f, points=code.points[keep])
         table = all_codewords(punct)
         words = np.concatenate([
             _words_at_weight(code, rng, weight, 4) for weight in range(n + 1)])
@@ -288,6 +288,6 @@ def test_errata_decode_matches_punctured_reference(n, k, q):
 # word (a negative one must not wrap round to the last channel)
 @pytest.mark.parametrize("erasures", [[0, 1, 2], [-1], [5], [0, 7]])
 def test_decoder_refuses_too_many_erasures(erasures):
-    code = mds.rs_build(5, 3, gf.field(7))
+    code = mds.ReedSolomonCode(5, 3, gf.field(7))
     with pytest.raises(ValueError):
         code.unique_decode_batch(np.zeros((1, 5), dtype=np.int64), erasures=erasures)

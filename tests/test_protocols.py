@@ -9,6 +9,7 @@ from psmt.channels import (
     PHASE_PB_OVERHEAD,
     PHASE_PSEUDO_BASIS,
     PHASE_ROUND1,
+    ChannelSession,
     CostLedger,
     PassiveAdversary,
     TargetedSyndromeAdversary,
@@ -272,7 +273,7 @@ def test_incremental_warmup_cost_and_recovery(n):
         words = f.vadd(x, errors)
         pb = pseudobasis.compute_pseudo_basis(code, words)
         assert len(pb) == w
-        session = protocols._session(p, None, False)
+        session = ChannelSession(n, t, f)
         delivered = protocols.send_pseudo_basis_incremental(ctx, session, pb, width)
         cost = session.ledger.counts.get((PHASE_PSEUDO_BASIS, ALICE_TO_BOB), 0)
         assert cost == sum(-(-n // i) * n for i in range(1, w + 1))
@@ -319,9 +320,9 @@ def test_reliability_smoke_all_adversaries(n):
     for l in (1, n):
         p = params_for(n, l=l)
         ctx = ProtocolContext(p)
-        for name, factory in builtin_adversaries().items():
+        for a, (name, factory) in enumerate(builtin_adversaries().items()):
             for seed in range(15):
-                rng = np.random.default_rng([n, l, seed, hash(name) % 2**32])
+                rng = np.random.default_rng([n, l, seed, a])
                 adv = factory(n, t, p.field, rng)
                 secrets = p.field.random(rng, l)
                 for runner in (run_basic, run_improved):

@@ -27,7 +27,7 @@ def in_span(f, rows, target):
 
 
 def test_all_codewords_give_empty_pseudo_basis():
-    code = mds.rs_build(5, 3, gf.field(7))
+    code = mds.ReedSolomonCode(5, 3, gf.field(7))
     words = code.encode([[1, 2, 3], [0, 0, 0], [6, 6, 6], [4, 0, 2]])
     pb = pseudobasis.compute_pseudo_basis(code, words)
     assert len(pb) == 0
@@ -35,7 +35,7 @@ def test_all_codewords_give_empty_pseudo_basis():
 
 
 def test_dependent_error_directions_keep_first_word_only():
-    code = mds.rs_build(5, 3, gf.field(7))
+    code = mds.ReedSolomonCode(5, 3, gf.field(7))
     e = np.array([1, 0, 0, 0, 0], dtype=np.int64)
     assert not code.contains(e)
     x = code.encode([[1, 2, 3], [4, 5, 6]])
@@ -48,7 +48,7 @@ def test_dependent_error_directions_keep_first_word_only():
 
 def test_three_words_two_independent_errors():
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     e1 = np.array([1, 0, 0, 0, 0], dtype=np.int64)
     e2 = np.array([0, 1, 0, 0, 0], dtype=np.int64)
     x = code.encode([[1, 2, 3], [4, 5, 6], [2, 2, 2]])
@@ -64,7 +64,7 @@ def test_three_words_two_independent_errors():
 
 def test_selection_is_first_come_deterministic():
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     rng = np.random.default_rng(3)
     words = f.random(rng, (6, 5))
     first = pseudobasis.compute_pseudo_basis(code, words)
@@ -79,7 +79,7 @@ def test_selection_is_first_come_deterministic():
 @pytest.mark.parametrize("n,k", [(5, 3), (7, 4), (11, 6)])
 def test_cardinality_and_span_properties(n, k):
     f = gf.field(13)
-    code = mds.rs_build(n, k, f)
+    code = mds.ReedSolomonCode(n, k, f)
     rng = np.random.default_rng(n * 31 + k)
     for _ in range(25):
         words = f.random(rng, (rng.integers(0, 9), n))
@@ -91,7 +91,7 @@ def test_cardinality_and_span_properties(n, k):
 
 
 def test_extract_empty():
-    code = mds.rs_build(5, 3, gf.field(7))
+    code = mds.ReedSolomonCode(5, 3, gf.field(7))
     pb = pseudobasis.compute_pseudo_basis(code, code.field.zeros((0, 5)))
     eb = pseudobasis.extract_error_basis(code, pb, code.field.zeros((0, 5)))
     assert len(eb) == 0
@@ -100,7 +100,7 @@ def test_extract_empty():
 
 def test_extract_support_example():
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     e1 = np.array([1, 0, 0, 0, 0], dtype=np.int64)
     e2 = np.array([0, 1, 0, 0, 0], dtype=np.int64)
     x = code.encode([[1, 2, 3], [4, 5, 6], [2, 2, 2]])
@@ -115,7 +115,7 @@ def test_extract_support_example():
 def test_support_at_least_basis_size():
     # m independent syndromes force at least m touched channels
     f = gf.field(13)
-    code = mds.rs_build(11, 6, f)
+    code = mds.ReedSolomonCode(11, 6, f)
     rng = np.random.default_rng(5)
     for _ in range(30):
         chans = np.sort(rng.choice(11, size=5, replace=False))
@@ -133,7 +133,7 @@ def test_extract_rejects_out_of_model_weight():
     # a "pseudo-basis word" at distance d from its original cannot be an
     # in-model error and must be flagged
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     x = code.encode([[1, 2, 3]])
     bad = f.vadd(x[0], np.array([1, 2, 3, 0, 0], dtype=np.int64))
     pb = pseudobasis.PseudoBasis([0], bad[None, :], code.syndrome(bad[None, :]))
@@ -153,7 +153,7 @@ def _basis_from(code, errors):
 
 def test_recover_zero_syndrome():
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     e1 = np.array([1, 0, 0, 0, 0], dtype=np.int64)
     e2 = np.array([0, 1, 0, 0, 0], dtype=np.int64)
     eb = _basis_from(code, [e1, e2])
@@ -165,7 +165,7 @@ def test_recover_zero_syndrome():
 
 def test_recover_combination():
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     e1 = np.array([1, 0, 0, 0, 0], dtype=np.int64)
     e2 = np.array([0, 1, 0, 0, 0], dtype=np.int64)
     eb = _basis_from(code, [e1, e2])
@@ -181,7 +181,7 @@ def test_recover_combination():
 
 def test_recover_outside_span_raises():
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     e1 = np.array([1, 0, 0, 0, 0], dtype=np.int64)
     eb = _basis_from(code, [e1])
     outside = np.array([0, 0, 1, 0, 0], dtype=np.int64)
@@ -196,7 +196,7 @@ def test_syndrome_injective_on_common_support():
     # errors confined to t = d-1 shared columns: distinct error, distinct
     # syndrome, checked over the whole spanned subspace
     f = gf.field(7)
-    code = mds.rs_build(5, 3, f)
+    code = mds.ReedSolomonCode(5, 3, f)
     rng = np.random.default_rng(11)
     for _ in range(6):
         cols = np.sort(rng.choice(5, size=2, replace=False))
@@ -215,7 +215,7 @@ def test_round_trip_recovery(n, t):
     # adversary errors on <= t fixed channels: every word's error is
     # recoverable from its syndrome alone
     f = gf.field(gf.next_prime_above(n))
-    code = mds.rs_build(n, t + 1, f)
+    code = mds.ReedSolomonCode(n, t + 1, f)
     rng = np.random.default_rng(n)
     for trial in range(40):
         chans = np.sort(rng.choice(n, size=rng.integers(0, t + 1), replace=False))
@@ -263,7 +263,7 @@ def test_rounds_match_greedy_scan(q):
     # freely on t channels, with clean words interleaved
     f = gf.field_of_order(q)
     n, t = 9, 4
-    code = mds.rs_build(n, t + 1, f)
+    code = mds.ReedSolomonCode(n, t + 1, f)
     rng = np.random.default_rng(q)
     for trial in range(40):
         num = int(rng.integers(1, 30))

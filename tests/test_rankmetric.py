@@ -11,30 +11,30 @@ from psmt.channels import (
     PHASE_PB_OVERHEAD,
     PHASE_PSEUDO_BASIS,
     PHASE_ROUND1,
+    AdversaryFault,
+    ChannelSession,
+    view_bytes,
 )
+from psmt.pseudobasis import compute_pseudo_basis, extract_error_basis
 from psmt.protocols import AuditBudgetExceeded, ProtocolViolation, _index_width
 from psmt.rankmetric import (
+    GabidulinCode,
     GeneralizedAdversary,
-    RankChannelSession,
     RankContext,
     RankFixedTamperAdversary,
     RankParams,
     RankPassiveAdversary,
     _rank_common,
     _rank_deliver,
-    _view_bytes,
-    gabidulin_build,
     random_generalized_adversary,
     rank_audit_adversaries,
     rank_broadcast_code,
     rank_broadcast_decode,
     rank_broadcast_encode,
-    rank_extract_error_basis,
     rank_of,
     rank_of_batch,
     rank_privacy_audit,
     rank_privacy_pair,
-    rank_pseudo_basis,
     rank_recover_error,
     run_rank_protocol,
 )
@@ -96,7 +96,7 @@ def test_rank_of_outer_products():
 def test_gabidulin_is_mrd_exhaustive(p, m, k):
     f = gf.field(p, m)
     n = 3
-    code = gabidulin_build(n, k, f)
+    code = GabidulinCode(n, k, f)
     msgs = np.array(list(itertools.product(range(f.q), repeat=k)), dtype=np.int64)
     words = code.encode(msgs)
     ranks = rank_of_batch(f, words[1:])  # row 0 is the zero message
@@ -107,17 +107,17 @@ def test_gabidulin_is_mrd_exhaustive(p, m, k):
 def test_gabidulin_validation():
     f = gf.field(2, 3)
     with pytest.raises(ValueError):
-        gabidulin_build(4, 1, f)  # length exceeds the extension degree
+        GabidulinCode(4, 1, f)  # length exceeds the extension degree
     with pytest.raises(ValueError):
-        gabidulin_build(3, 0, f)
+        GabidulinCode(3, 0, f)
     with pytest.raises(ValueError):
-        gabidulin_build(3, 4, f)
+        GabidulinCode(3, 4, f)
     with pytest.raises(ValueError):
-        gabidulin_build(3, 1, gf.field(7))
+        GabidulinCode(3, 1, gf.field(7))
     with pytest.raises(ValueError):
-        gabidulin_build(3, 1, f, points=np.array([1, 2, 3]))  # 3 = 1 ^ 2
+        GabidulinCode(3, 1, f, points=np.array([1, 2, 3]))  # 3 = 1 ^ 2
     with pytest.raises(ValueError):
-        gabidulin_build(3, 1, f, points=np.array([1, 2]))
+        GabidulinCode(3, 1, f, points=np.array([1, 2]))
 
 
 def test_privacy_pair_joint_uniformity():
@@ -198,20 +198,21 @@ def test_rank_params_validation():
 
 
 def test_rank_pseudo_basis_and_recovery():
+    # compute_pseudo_basis is F_{q^m}-linear, so it serves Gabidulin codes too
     f = gf.field(2, 4)
-    code = gabidulin_build(3, 1, f)
+    code = GabidulinCode(3, 1, f)
     rng = np.random.default_rng(11)
     x = code.random_codeword(rng, 4)
-    assert len(rank_pseudo_basis(code, x)) == 0
+    assert len(compute_pseudo_basis(code, x)) == 0
 
     e1 = np.array([9, 0, 0], dtype=np.int64)
     e2 = np.array([0, 4, 0], dtype=np.int64)
     words = x.copy()
     words[1] = f.vadd(words[1], e1)
     words[3] = f.vadd(words[3], e2)
-    pb = rank_pseudo_basis(code, words)
+    pb = compute_pseudo_basis(code, words)
     assert list(pb.indices) == [1, 3]
-    eb = rank_extract_error_basis(code, pb, x)
+    eb = extract_error_basis(code, pb, x)
     assert np.array_equal(eb.errors, np.stack([e1, e2]))
     # a fresh word hit by e1 + e2 decomposes in the span
     syn = code.syndrome(f.vadd(x[0], f.vadd(e1, e2)))
@@ -221,14 +222,14 @@ def test_rank_pseudo_basis_and_recovery():
 
 def test_rank_extract_rejects_heavy_basis():
     f = gf.field(2, 4)
-    code = gabidulin_build(3, 2, f)  # rank distance 2
+    code = GabidulinCode(3, 2, f)  # rank distance 2
     rng = np.random.default_rng(1)
     x = code.random_codeword(rng, 2)
     words = x.copy()
     words[0] = f.vadd(words[0], np.array([1, 2, 0], dtype=np.int64))  # rank 2
-    pb = rank_pseudo_basis(code, words)
+    pb = compute_pseudo_basis(code, words)
     with pytest.raises(ProtocolViolation):
-        rank_extract_error_basis(code, pb, x)
+        extract_error_basis(code, pb, x)
 
 
 def test_generalized_adversary_validation():
@@ -240,7 +241,7 @@ def test_generalized_adversary_validation():
     with pytest.raises(ValueError):
         GeneralizedAdversary(np.ones((1, 3)), np.full((1, 3), 3), f)
     with pytest.raises(ValueError):
-        RankChannelSession(3, 1, f, GeneralizedAdversary(
+        ChannelSession(3, 1, f, GeneralizedAdversary(
             np.ones((2, 3)), np.ones((2, 3)), f))
 
 
@@ -249,7 +250,7 @@ def test_session_taps_and_unit_tamper():
     lam = np.array([[1, 0, 0]], dtype=np.int64)
     mu = np.array([[0, 0, 1]], dtype=np.int64)
     adv = RankFixedTamperAdversary(lam, mu, f)
-    session = RankChannelSession(3, 1, f, adv)
+    session = ChannelSession(3, 1, f, adv)
     arrays = np.array([[5, 6, 7], [1, 2, 3]], dtype=np.int64)
     delivered = session.transmit(ALICE_TO_BOB, arrays, PHASE_ROUND1)
     kind, direction, phase, taps = session.eve_view[0]
@@ -323,15 +324,15 @@ def test_shared_round_path_matches_fresh_runs():
         assert adv.replay_safe
         for choice_seed in range(3):
             X = ctx.code.random_codeword(np.random.default_rng(choice_seed), 2)
-            session = RankChannelSession(p.n, p.t, f, adv)
+            session = ChannelSession(p.n, p.t, f, adv)
             common = _rank_common(p, ctx, session, X)
             base = len(session.eve_view)
-            prefix = _view_bytes(session.eve_view)
+            prefix = view_bytes(session.eve_view)
             for s in range(16):
                 del session.eve_view[base:]
                 secret = np.array([s], dtype=np.int64)
                 out = _rank_deliver(p, ctx, session, common, secret)
-                vk = prefix + _view_bytes(session.eve_view[base:])
+                vk = prefix + view_bytes(session.eve_view[base:])
                 fresh = run_rank_protocol(p, secret, adversary=adv, bob_words=X)
                 assert np.array_equal(out, fresh.secrets)
                 assert vk == fresh.view_key
@@ -350,9 +351,9 @@ def test_view_bytes_separates_entries():
     a = [("tap", ALICE_TO_BOB, PHASE_MASKED, np.array([[1, 2]], dtype=np.int64))]
     b = [("tap", ALICE_TO_BOB, PHASE_MASKED, np.array([[1, 3]], dtype=np.int64))]
     c = [("public", ALICE_TO_BOB, PHASE_MASKED, np.array([[1, 2]], dtype=np.int64))]
-    assert _view_bytes(a) != _view_bytes(b)
-    assert _view_bytes(a) != _view_bytes(c)
-    assert _view_bytes(a) == _view_bytes([a[0]])
+    assert view_bytes(a) != view_bytes(b)
+    assert view_bytes(a) != view_bytes(c)
+    assert view_bytes(a) == view_bytes([a[0]])
 
 
 def test_rank_of_uint64_masks_on_f64():
@@ -365,3 +366,88 @@ def test_rank_of_uint64_masks_on_f64():
     got = rank_of_batch(f, words)
     for i in range(300):
         assert got[i] == _word_rank_oracle(f, words[i])
+
+
+def test_run_rank_protocol_refuses_wrong_bob_words():
+    # round one carries exactly t + l codewords of F_16 symbols
+    p = rank_params()
+    code = RankContext(p).code
+    rng = np.random.default_rng(2)
+    for count in (1, 3):
+        with pytest.raises(ValueError, match="bob_words"):
+            run_rank_protocol(p, [1], bob_words=code.random_codeword(rng, count))
+    words = code.random_codeword(rng, 2)
+    words[0, 0] = 99
+    with pytest.raises(ValueError):
+        run_rank_protocol(p, [1], bob_words=words)
+    res = run_rank_protocol(p, [1], bob_words=code.random_codeword(rng, 2))
+    assert list(res.secrets) == [1]
+
+
+class BadDeltas(GeneralizedAdversary):
+    """Answers the masked phase with block(taps); zero deltas before."""
+
+    replay_safe = True
+
+    def __init__(self, lambdas, mus, f, block):
+        super().__init__(lambdas, mus, f)
+        self.block = block
+
+    def deltas(self, direction, phase, taps, view):
+        if phase != PHASE_MASKED:
+            return np.zeros(taps.shape, dtype=np.int64)
+        return self.block(taps)
+
+
+def test_rank_traffic_validation():
+    f = gf.field(2, 4)
+    lam = np.array([[1, 1, 0]], dtype=np.int64)
+    for bad in (99, -5):
+        session = ChannelSession(3, 1, f, RankPassiveAdversary(lam, lam, f))
+        with pytest.raises(ValueError):
+            session.transmit(ALICE_TO_BOB, np.array([[1, bad, 2]]), PHASE_ROUND1)
+    blocks = (
+        lambda taps: np.zeros((taps.shape[0], 2), dtype=np.int64),  # wrong shape
+        lambda taps: np.full(taps.shape, 16),  # outside F_16
+        lambda taps: np.full(taps.shape, -1),
+    )
+    p = rank_params()
+    for block in blocks:
+        adv = BadDeltas(lam, lam, f, block)
+        session = ChannelSession(3, 1, f, adv)
+        session.transmit(ALICE_TO_BOB, np.array([[1, 2, 3]]), PHASE_ROUND1)
+        with pytest.raises(AdversaryFault):
+            session.transmit(ALICE_TO_BOB, np.array([[1, 2, 3]]), PHASE_MASKED)
+        # the audit's shared-prefix path checks the masked payload the same way
+        with pytest.raises(AdversaryFault):
+            rank_privacy_audit(p, adv)
+
+
+def test_rank_broadcast_table_matches_direct_ranks():
+    # at q^n <= 2^16 the decoder reads ranks from a table; it must agree
+    # with computing them word by word
+    f = gf.field(2, 4)
+    table = rank_broadcast_code(3, f)
+    direct = rank_broadcast_code(3, f)
+    direct.word_ranks = None
+    assert np.array_equal(table.word_ranks, rank_of_batch(f, np.array(
+        list(itertools.product(range(16), repeat=3)))[:, ::-1]))
+    rng = np.random.default_rng(4)
+    sent = rank_broadcast_encode(table, f.random(rng, 200))
+    errors = f.vmul(f.random(rng, (200, 1)), rng.integers(0, 2, size=(200, 3)))
+    got = f.vadd(sent, errors)  # rank <= 1, so every word decodes
+    assert np.array_equal(rank_broadcast_decode(table, 1, got),
+                          rank_broadcast_decode(direct, 1, got))
+
+    def outcome(bcode, word):
+        try:
+            return int(rank_broadcast_decode(bcode, 1, word)[0])
+        except ProtocolViolation:
+            return "no decode"
+
+    outcomes = set()
+    for e in ([1, 2, 0], [3, 0, 12], [0, 6, 1], [5, 9, 14]):  # rank >= 2
+        for word in f.vadd(sent[:20], np.array(e)):
+            outcomes.add(outcome(direct, word[None, :]))
+            assert outcome(table, word[None, :]) == outcome(direct, word[None, :])
+    assert "no decode" in outcomes
