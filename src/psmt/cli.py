@@ -106,31 +106,28 @@ def _resolve_name(name, choices, what):
                     % (what, name, ", ".join(sorted(choices))))
 
 
-def _classical_spec(spec):
-    """Resolve n/t/q defaults and build SessionParams, or raise SpecError."""
+def _resolve_nt(spec):
+    """n and t, with t defaulting to (n-1)/2, or raise SpecError."""
     n = spec.n
     t = spec.t if spec.t else (n - 1) // 2
     if n != 2 * t + 1:
         raise SpecError("n must equal 2t+1 (got n=%d, t=%d)" % (n, t))
+    return n, t
+
+
+def _classical_spec(spec):
+    """Resolve n/t/q defaults and build SessionParams, or raise SpecError."""
+    n, t = _resolve_nt(spec)
     q = spec.q if spec.q else gf.next_prime_above(n)
     return SessionParams(n, t, spec.l, gf.field_of_order(q))
 
 
 def _rank_spec(spec):
-    n = spec.n
-    t = spec.t if spec.t else (n - 1) // 2
-    if n != 2 * t + 1:
-        raise SpecError("n must equal 2t+1 (got n=%d, t=%d)" % (n, t))
+    """Resolve n/t/q/m defaults and build RankParams."""
+    n, t = _resolve_nt(spec)
     q = spec.q if spec.q else 2
     m = spec.m if spec.m else n + 1
-    try:
-        f = gf.field(q, m)
-    except ValueError as e:
-        raise SpecError(str(e))
-    try:
-        return RankParams(n, t, spec.l, f)
-    except ValueError as e:
-        raise SpecError(str(e))
+    return RankParams(n, t, spec.l, gf.field(q, m))
 
 
 def _ledger_rows(ledger):
@@ -157,7 +154,9 @@ def _rank_adversaries(params):
     return {a.name.replace("rank-", ""): a for a in rank_audit_adversaries(params)}
 
 
-def _classical_trial(params, ctx, runner, adv_factory, spec, k):
+def _trial(params, ctx, runner, adv_factory, spec, k):
+    """Trial k: its adversary (from adv_factory(n, t, field, rng), or none)
+    and secrets drawn from default_rng([seed, k]), then one run."""
     rng = np.random.default_rng([spec.seed, k])
     f = params.field
     adv = adv_factory(params.n, params.t, f, rng) if adv_factory else None
@@ -167,35 +166,23 @@ def _classical_trial(params, ctx, runner, adv_factory, spec, k):
     return secrets, res
 
 
-def _rank_trial(params, ctx, spec, k):
-    rng = np.random.default_rng([spec.seed, k])
-    f = params.field
-    if spec.adversary == "random":
-        adv = random_generalized_adversary(params.n, params.t, f, rng)
-    else:
-        adv = _rank_adversaries(params)[spec.adversary]
-    secrets = f.random(rng, params.l)
-    res = run_rank_protocol(params, secrets, adversary=adv, rng=rng,
-                            context=ctx, record_transcript=spec.transcript)
-    return secrets, res
-
-
 def cmd_run(spec):
     if spec.trials < 1:
         raise SpecError("trials must be at least 1, got %d" % spec.trials)
     if spec.protocol == "rank":
         params = _rank_spec(spec)
         ctx = RankContext(params)
-        spec.adversary = _resolve_name(
-            spec.adversary, ["passive", "fixed-tamper", "tap-replay", "random"],
-            "adversary")
-        trial = lambda k: _rank_trial(params, ctx, spec, k)
+        runner = run_rank_protocol
+        table = _rank_adversaries(params)
+        spec.adversary = _resolve_name(spec.adversary, list(table) + ["random"],
+                                       "adversary")
+        factory = (random_generalized_adversary if spec.adversary == "random"
+                   else lambda n, t, f, rng: table[spec.adversary])
     else:
         params = _classical_spec(spec)
         ctx = ProtocolContext(params)
         runner = {"basic": run_basic, "improved": run_improved}[spec.protocol]
         factory = _classical_factory(spec)
-        trial = lambda k: _classical_trial(params, ctx, runner, factory, spec, k)
     f = params.field
 
     successes = 0
@@ -203,7 +190,7 @@ def cmd_run(spec):
     bits_max = 0
     phase_rows = []
     for k in range(spec.trials):
-        secrets, res = trial(k)
+        secrets, res = _trial(params, ctx, runner, factory, spec, k)
         ok = np.array_equal(res.secrets, secrets)
         successes += int(ok)
         if not ok:
@@ -334,8 +321,7 @@ def cmd_bench(spec):
             ctx = ProtocolContext(params)
             tmax = 0
             for k in range(spec.trials):
-                secrets, res = _classical_trial(params, ctx, runner, factory,
-                                                spec, k)
+                secrets, res = _trial(params, ctx, runner, factory, spec, k)
                 if not np.array_equal(res.secrets, secrets):
                     failures += 1
                     log.warning("bench n=%d l=%d trial %d failed", n, l, k)
@@ -446,10 +432,7 @@ def main(argv=None):
     handler = {"run": cmd_run, "audit": cmd_audit, "bench": cmd_bench}
     try:
         return handler[args.command](spec)
-    except SpecError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # SpecError included
         print("error: %s" % e, file=sys.stderr)
         return 2
 

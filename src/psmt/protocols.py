@@ -7,12 +7,17 @@ secret masked with h . y, where (code, h) is a privacy pair, so t taps reveal
 nothing about the mask.  Bob recovers each masked word's error from the
 published data, rebuilds Alice's received word, and strips the mask.
 
-run_basic broadcasts the pseudo-basis words plainly (w * n^2 symbols);
+run_basic broadcasts the pseudo-basis words plainly (w * n^2 symbols).  It
+is one skeleton, _prefix (round one, the pseudo-basis phase) then _deliver
+(one broadcast of a (syndrome || masked secret) row per secret), over the
+codes and broadcast of its context; rankmetric.run_rank_protocol runs the
+same skeleton with Gabidulin codes and the rank broadcast.
 run_improved sends a "special word" exposing many corrupted channels first
 and then uses generalized broadcast, capping the phase at 4n^2 symbols and
 the total at 5n + O(n^2 / l) per secret.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,7 @@ from .channels import (
     RandomNoiseAdversary,
     ReplayAdversary,
     TargetedSyndromeAdversary,
+    view_bytes,
 )
 
 
@@ -46,6 +52,9 @@ class SessionParams:
             raise ValueError("need n = 2t+1 with t >= 1, got n=%d t=%d" % (self.n, self.t))
         if self.l < 1:
             raise ValueError("need at least one secret, got l=%d" % self.l)
+        self._check_field()
+
+    def _check_field(self):
         if self.field.q <= self.n + 1:
             raise ValueError("field order %d must exceed n+1=%d: the privacy pair "
                              "needs n+1 distinct nonzero evaluation points"
@@ -53,7 +62,10 @@ class SessionParams:
 
 
 class ProtocolContext:
-    """Codes reused across runs with identical parameters."""
+    """Codes reused across runs with identical parameters, and the broadcast
+    of the Hamming setting: repetition on every channel, majority vote.  The
+    broadcast functions are looked up on their module at every call, so a
+    wrapper installed there sees each one."""
 
     def __init__(self, params):
         self.params = params
@@ -66,6 +78,12 @@ class ProtocolContext:
         if m not in self._bcast:
             self._bcast[m] = mds.ReedSolomonCode(self.params.n, m + 1, self.params.field)
         return self._bcast[m]
+
+    def broadcast_encode(self, symbols):
+        return broadcast.broadcast_encode(self.params.n, symbols)
+
+    def broadcast_decode(self, arrays):
+        return broadcast.broadcast_decode(arrays, self.params.t)
 
 
 @dataclass
@@ -136,66 +154,102 @@ def _round_one_words(code, num_words, rng, bob_words):
     return X
 
 
-def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
-              context=None, record_transcript=False):
-    """The plain two-round protocol: pseudo-basis words broadcast in full."""
-    ctx = context if context is not None else ProtocolContext(params)
-    n, t, l, f = params.n, params.t, params.l, params.field
-    code, pair = ctx.code, ctx.pair
-    secrets = _check_secrets(params, secrets)
-    session = ChannelSession(n, t, f, adversary, record_transcript)
+# What _prefix leaves for the masked phase: Alice's syndromes and masks of her
+# masked words, Bob's codewords sent at his masked indices and his error basis.
+_Prefix = namedtuple("_Prefix", "syndromes mask originals eb stats")
+
+
+def _prefix(ctx, session, X):
+    """Round one, the pseudo-basis phase and Bob's error basis.  Nothing here
+    depends on the secrets, so an audit can run it once for many of them."""
+    n, t, l, f = ctx.params.n, ctx.params.t, ctx.params.l, ctx.params.field
+    code = ctx.code
     num_words = t + l
     width = _index_width(num_words, f.q)
 
     # round 1: Bob -> Alice
-    X = _round_one_words(code, num_words, rng, bob_words)
     Y = session.transmit(BOB_TO_ALICE, X, PHASE_ROUND1)
 
-    # round 2: Alice broadcasts everything
+    # round 2 opens with Alice's pseudo-basis, broadcast in full
     pb = pseudobasis.compute_pseudo_basis(code, Y)
     w = len(pb)
     masked = _masked_indices(num_words, pb.indices, l)
-    z = f.vadd(secrets, pair.mask(Y[masked]))
-    syns = code.syndrome(Y[masked])
-
-    sent_marker = session.transmit(
-        ALICE_TO_BOB, broadcast.broadcast_encode(n, [w]), PHASE_PB_OVERHEAD, public=True)
-    got_idx = None
-    got_words = None
+    got_marker = session.transmit(
+        ALICE_TO_BOB, ctx.broadcast_encode([w]), PHASE_PB_OVERHEAD, public=True)
     if w:
         got_idx = session.transmit(
-            ALICE_TO_BOB,
-            broadcast.broadcast_encode(n, _encode_indices(pb.indices, width, f.q)),
+            ALICE_TO_BOB, ctx.broadcast_encode(_encode_indices(pb.indices, width, f.q)),
             PHASE_PB_OVERHEAD, public=True)
         got_words = session.transmit(
-            ALICE_TO_BOB, broadcast.broadcast_encode(n, pb.words.reshape(-1)),
+            ALICE_TO_BOB, ctx.broadcast_encode(pb.words.reshape(-1)),
             PHASE_PSEUDO_BASIS, public=True)
-    per_secret = np.concatenate([syns, z[:, None]], axis=1)
-    got_masked = session.transmit(
-        ALICE_TO_BOB, broadcast.broadcast_encode(n, per_secret.reshape(-1)),
-        PHASE_MASKED, public=True)
 
-    # Bob decodes
-    w_bob = int(broadcast.broadcast_decode(sent_marker, t)[0])
+    # Bob learns the errors on the pseudo-basis words
+    w_bob = int(ctx.broadcast_decode(got_marker)[0])
     _check_pseudo_basis(w_bob, t, num_words)
     if w_bob:
-        idx_bob = _decode_indices(broadcast.broadcast_decode(got_idx, t), width, f.q)
+        idx_bob = _decode_indices(ctx.broadcast_decode(got_idx), width, f.q)
         _check_pseudo_basis(w_bob, t, num_words, idx_bob)
-        words_bob = broadcast.broadcast_decode(got_words, t).reshape(w_bob, n)
+        words_bob = ctx.broadcast_decode(got_words).reshape(w_bob, n)
         pb_bob = pseudobasis.PseudoBasis(idx_bob, words_bob, code.syndrome(words_bob))
         eb = pseudobasis.extract_error_basis(code, pb_bob, X)
     else:
         idx_bob = []
         eb = pseudobasis.empty_error_basis(code)
     masked_bob = _masked_indices(num_words, idx_bob, l)
-    flat = broadcast.broadcast_decode(got_masked, t).reshape(l, t + 1)
-    errors = pseudobasis.recover_error(code, eb, flat[:, :t])
-    y_bob = f.vadd(X[masked_bob], errors)
-    out = f.vsub(flat[:, t], pair.mask(y_bob))
-
     stats = {"w": w, "pb_indices": list(pb.indices), "masked_indices": masked}
+    return _Prefix(code.syndrome(Y[masked]), ctx.pair.mask(Y[masked]), X[masked_bob],
+                   eb, stats)
+
+
+def _payload(ctx, state, secrets):
+    """Alice's masked-phase symbols for secrets of shape (..., l): per secret
+    a (syndrome || secret + mask) row of t+1 symbols."""
+    t = ctx.params.t
+    z = ctx.params.field.vadd(secrets, state.mask)
+    rows = np.empty(z.shape + (t + 1,), dtype=np.int64)
+    rows[..., :t] = state.syndromes
+    rows[..., t] = z
+    return rows.reshape(-1)
+
+
+def _unmask(ctx, state, symbols):
+    """Bob's side of _payload, for one or more secret vectors: recovers each
+    masked word's error from its syndrome, rebuilds Alice's received word and
+    strips the mask.  Returns the secrets, one row per secret vector."""
+    n, t, l, f = ctx.params.n, ctx.params.t, ctx.params.l, ctx.params.field
+    rows = symbols.reshape(-1, l, t + 1)
+    errors = pseudobasis.recover_error(ctx.code, state.eb, rows[..., :t].reshape(-1, t))
+    y = f.vadd(state.originals, errors.reshape(-1, l, n))
+    return f.vsub(rows[..., t], ctx.pair.mask(y))
+
+
+def _deliver(ctx, session, state, secrets):
+    """The masked phase: one broadcast carrying the l payload rows, the only
+    transmission whose content depends on the secrets.  Returns what Bob
+    recovers."""
+    got = session.transmit(ALICE_TO_BOB, ctx.broadcast_encode(_payload(ctx, state, secrets)),
+                           PHASE_MASKED, public=True)
+    return _unmask(ctx, state, ctx.broadcast_decode(got))[0]
+
+
+def _run(ctx, secrets, adversary, rng, bob_words, record_transcript):
+    """The two-round skeleton over ctx's code, privacy pair and broadcast."""
+    params = ctx.params
+    secrets = _check_secrets(params, secrets)
+    session = ChannelSession(params.n, params.t, params.field, adversary, record_transcript)
+    X = _round_one_words(ctx.code, params.t + params.l, rng, bob_words)
+    state = _prefix(ctx, session, X)
+    out = _deliver(ctx, session, state, secrets)
     vk = session.view_key() if adversary is not None else b""
-    return RunResult(out, session.ledger, session.transcript, stats, vk)
+    return RunResult(out, session.ledger, session.transcript, state.stats, vk)
+
+
+def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
+              context=None, record_transcript=False):
+    """The plain two-round protocol: pseudo-basis words broadcast in full."""
+    ctx = context if context is not None else ProtocolContext(params)
+    return _run(ctx, secrets, adversary, rng, bob_words, record_transcript)
 
 
 def special_word_search(code, pb, t):
@@ -252,22 +306,21 @@ def send_pseudo_basis_fast(ctx, session, pb, width):
     w = len(pb)
     out = {"w": w}
     out["marker"] = session.transmit(
-        ALICE_TO_BOB, broadcast.broadcast_encode(n, [w]), PHASE_PB_OVERHEAD, public=True)
+        ALICE_TO_BOB, ctx.broadcast_encode([w]), PHASE_PB_OVERHEAD, public=True)
     if w == 0:
         return out
     special, mu = special_word_search(ctx.code, pb, t)
     m = min(w, t // 3)
     head = np.concatenate([_encode_indices(pb.indices, width, f.q), mu])
     out["head"] = session.transmit(
-        ALICE_TO_BOB, broadcast.broadcast_encode(n, head), PHASE_PB_OVERHEAD, public=True)
+        ALICE_TO_BOB, ctx.broadcast_encode(head), PHASE_PB_OVERHEAD, public=True)
     out["special"] = session.transmit(
-        ALICE_TO_BOB, broadcast.broadcast_encode(n, special), PHASE_PSEUDO_BASIS, public=True)
+        ALICE_TO_BOB, ctx.broadcast_encode(special), PHASE_PSEUDO_BASIS, public=True)
     # chunk per word: each one costs exactly ceil(n / (m+1)) arrays
     padded = f.zeros((w, -(-n // (m + 1)) * (m + 1)))
     padded[:, :n] = pb.words
     out["blocks"] = session.transmit(
-        ALICE_TO_BOB,
-        ctx.bcast_code(m).encode(padded.reshape(-1, m + 1)),
+        ALICE_TO_BOB, ctx.bcast_code(m).encode(padded.reshape(-1, m + 1)),
         PHASE_PSEUDO_BASIS, public=True)
     out["m"] = m
     return out
@@ -279,15 +332,16 @@ def receive_pseudo_basis_fast(ctx, delivered, originals, width):
     n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
     code = ctx.code
     num_words = originals.shape[0]
-    w = int(broadcast.broadcast_decode(delivered["marker"], t)[0])
+    w = int(ctx.broadcast_decode(delivered["marker"])[0])
     _check_pseudo_basis(w, t, num_words)
     if w == 0:
-        return pseudobasis.empty_error_basis(code), {"w": 0, "special_weight": None}
-    head = broadcast.broadcast_decode(delivered["head"], t)
+        return pseudobasis.empty_error_basis(code), {"w": 0, "special_weight": None,
+                                                     "pb_indices": []}
+    head = ctx.broadcast_decode(delivered["head"])
     idx = _decode_indices(head[: w * width], width, f.q)
     mu = head[w * width:]
     _check_pseudo_basis(w, t, num_words, idx)
-    special = broadcast.broadcast_decode(delivered["special"], t)
+    special = ctx.broadcast_decode(delivered["special"])
     expected = gf.mat_mul(f, mu[None, :], originals[idx])[0]
     e_special = f.vsub(special, expected)
     bad = np.nonzero(e_special)[0]
@@ -309,7 +363,7 @@ def send_masked_secrets(ctx, session, secrets, Y, masked):
     """Alice's per-secret broadcasts: the syndrome of the carrying word packed
     ceil(t/2)-fold, then the two masked values z1 (against her received word)
     and z2 (against her unique-decode of it, or 0 when that failed)."""
-    n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
+    t, f = ctx.params.t, ctx.params.field
     code, pair = ctx.code, ctx.pair
     l = len(masked)
     words = Y[masked]
@@ -323,7 +377,7 @@ def send_masked_secrets(ctx, session, secrets, Y, masked):
     dec, derr, dok = code.unique_decode_batch(words)
     z2 = np.where(dok, f.vadd(secrets, pair.mask(dec)), 0)
     zz = np.stack([z1, z2], axis=1).reshape(-1)
-    got_z = session.transmit(ALICE_TO_BOB, broadcast.broadcast_encode(n, zz),
+    got_z = session.transmit(ALICE_TO_BOB, ctx.broadcast_encode(zz),
                              PHASE_MASKED, public=True)
     return {"blocks": got_blocks, "z": got_z, "bsyn": bsyn}
 
@@ -337,7 +391,7 @@ def receive_masked_secrets(ctx, delivered, originals, masked, eb):
     code, pair = ctx.code, ctx.pair
     l = len(masked)
     support = eb.support
-    zz = broadcast.broadcast_decode(delivered["z"], t).reshape(l, 2)
+    zz = ctx.broadcast_decode(delivered["z"]).reshape(l, 2)
     if 2 * len(support) >= t:
         flat = broadcast.gen_broadcast_decode(
             ctx.bcast_code(ctx.m_syn), t, delivered["blocks"], support)
@@ -383,16 +437,15 @@ def send_pseudo_basis_incremental(ctx, session, pb, width):
     """Warm-up sender: the i-th pseudo-basis word (1-based) goes out packed
     (i-1)-fold, costing ceil(n/i) arrays, since the receiver will know i-1
     corrupted channels by then.  Returns the delivered arrays."""
-    n, f = ctx.params.n, ctx.params.field
+    f = ctx.params.field
     w = len(pb)
     out = {"w": w}
     out["marker"] = session.transmit(
-        ALICE_TO_BOB, broadcast.broadcast_encode(n, [w]), PHASE_PB_OVERHEAD, public=True)
+        ALICE_TO_BOB, ctx.broadcast_encode([w]), PHASE_PB_OVERHEAD, public=True)
     if w == 0:
         return out
     out["head"] = session.transmit(
-        ALICE_TO_BOB,
-        broadcast.broadcast_encode(n, _encode_indices(pb.indices, width, f.q)),
+        ALICE_TO_BOB, ctx.broadcast_encode(_encode_indices(pb.indices, width, f.q)),
         PHASE_PB_OVERHEAD, public=True)
     out["blocks"] = []
     for i in range(w):
@@ -410,11 +463,11 @@ def receive_pseudo_basis_incremental(ctx, delivered, originals, width):
     n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
     code = ctx.code
     num_words = originals.shape[0]
-    w = int(broadcast.broadcast_decode(delivered["marker"], t)[0])
+    w = int(ctx.broadcast_decode(delivered["marker"])[0])
     _check_pseudo_basis(w, t, num_words)
     if w == 0:
         return pseudobasis.empty_error_basis(code)
-    idx = _decode_indices(broadcast.broadcast_decode(delivered["head"], t), width, f.q)
+    idx = _decode_indices(ctx.broadcast_decode(delivered["head"]), width, f.q)
     _check_pseudo_basis(w, t, num_words, idx)
     known = set()
     words = f.zeros((w, n))
@@ -440,12 +493,11 @@ class AuditBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-def _distinguishing_view(base, other):
-    """Hex of the first view whose multiplicity separates two secret values."""
-    for key in sorted(set(base) | set(other)):
-        if base.get(key, 0) != other.get(key, 0):
-            return key.hex()[:120]
-    return "<none>"
+def _distinguishing_view(base, other, views):
+    """Hex of the smallest view, in byte order, whose multiplicity separates
+    two secret values; the counters hold indices into views."""
+    differ = [views[i] for i in base.keys() | other.keys() if base.get(i, 0) != other.get(i, 0)]
+    return min(differ).hex()[:120] if differ else "<none>"
 
 
 @dataclass
@@ -484,6 +536,42 @@ def _runner_step(params, runner, adversary, ctx):
     return step
 
 
+def _shared_prefix_step(params, runner, adversary, ctx):
+    """Audit step for a strategy whose state stays put after the first
+    transmission (a replay_safe one).  _prefix runs once per choice of
+    codewords; each secret value then gets only the masked phase, on the view
+    restored to where the prefix left it, so the strategy sees exactly what it
+    would in a fresh run.  Payloads and unmasking take one batched call each.
+    On the first choice every secret is also checked against a fresh run."""
+    n, t, f = params.n, params.t, params.field
+
+    def step(X, secrets, first):
+        session = ChannelSession(n, t, f, adversary)
+        state = _prefix(ctx, session, X)
+        view = session.eve_view
+        base = len(view)
+        prefix = view_bytes(view)
+        num = secrets.shape[0]
+        enc = ctx.broadcast_encode(_payload(ctx, state, secrets))
+        taps = adversary.tap(enc).reshape(num, -1, adversary.t)
+        enc = enc.reshape(num, -1, n)
+        delivered, keys = [], []
+        for s in range(num):
+            del view[base:]
+            delivered.append(session.intercept(ALICE_TO_BOB, PHASE_MASKED, enc[s], taps[s]))
+            view.append(("public", ALICE_TO_BOB, PHASE_MASKED, enc[s]))
+            keys.append(prefix + view_bytes(view[base:]))
+        outs = _unmask(ctx, state, ctx.broadcast_decode(np.concatenate(delivered)))
+        for s in range(num):
+            yield outs[s], keys[s]
+            if first:
+                ref = runner(params, secrets[s], adversary, bob_words=X, context=ctx)
+                if ref.view_key != keys[s] or not np.array_equal(ref.secrets, outs[s]):
+                    raise RuntimeError("shared-round audit path diverged from a fresh run")
+
+    return step
+
+
 def _exhaustive_audit(code, num_words, l, step, budget):
     """The enumeration behind both privacy audits.
 
@@ -498,6 +586,7 @@ def _exhaustive_audit(code, num_words, l, step, budget):
     required = choices * num_secrets
     if required > budget:
         raise AuditBudgetExceeded(required, budget)
+    views = {}  # view bytes -> index, one table for all secret values
     counters = [dict() for _ in range(num_secrets)]
     secrets = np.array([[(s // f.q**j) % f.q for j in range(l)]
                         for s in range(num_secrets)], dtype=np.int64)
@@ -516,7 +605,8 @@ def _exhaustive_audit(code, num_words, l, step, budget):
             if not np.array_equal(out, secrets[s]):
                 return AuditReport(False, runs, 0,
                                    "reliability failure at secrets=%s" % secrets[s])
-            counters[s][key] = counters[s].get(key, 0) + 1
+            i = views.setdefault(key, len(views))
+            counters[s][i] = counters[s].get(i, 0) + 1
     base = counters[0]
     for s in range(1, num_secrets):
         if counters[s] != base:
@@ -524,7 +614,7 @@ def _exhaustive_audit(code, num_words, l, step, budget):
                 False, runs, len(base),
                 "view multisets differ between secrets 0 and %d; "
                 "distinguishing view (hex) %s"
-                % (s, _distinguishing_view(base, counters[s])))
+                % (s, _distinguishing_view(base, counters[s], list(views))))
     return AuditReport(True, runs, len(base), "all %d secret values give identical "
                        "view multisets" % num_secrets)
 

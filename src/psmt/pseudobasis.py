@@ -95,11 +95,7 @@ def extract_error_basis(code, pb, originals):
     f = code.field
     originals = np.asarray(originals, dtype=np.int64)
     errors = f.vsub(pb.words, originals[pb.indices])
-    if len(pb):
-        worst = int(code.weights(errors).max())
-        if worst >= code.d:
-            raise ProtocolViolation("pseudo-basis error of weight %d meets the code"
-                                    % worst)
+    _check_below_distance(code, errors, "pseudo-basis")
     support = np.nonzero(np.any(errors != 0, axis=0))[0]
     return ErrorBasis(pb.indices, errors, pb.syndromes, support)
 
@@ -109,7 +105,8 @@ def recover_error(code, basis, syndromes):
 
     syndromes is one vector of length n - k or a stack of them; returns the
     matching error vector(s).  Raises ProtocolViolation when a syndrome is
-    outside the span (the adversary left her channel set)."""
+    outside the span (the adversary left her channel set) or names an error
+    of weight >= d."""
     f = code.field
     syndromes = np.asarray(syndromes, dtype=np.int64)
     single = syndromes.ndim == 1
@@ -123,4 +120,14 @@ def recover_error(code, basis, syndromes):
     if not np.all(ok):
         raise ProtocolViolation("syndrome outside the pseudo-basis span")
     errors = gf.mat_mul(f, lam.T, basis.errors)
+    _check_below_distance(code, errors, "recovered")
     return errors[0] if single else errors
+
+
+def _check_below_distance(code, errors, what):
+    """Refuses errors of weight >= d in the code's metric (Hamming or rank),
+    which no in-model adversary makes."""
+    weights = code.weights(errors)
+    if (weights >= code.d).any():
+        raise ProtocolViolation("%s error of weight %d meets the code"
+                                % (what, weights.max()))

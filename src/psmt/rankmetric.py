@@ -11,13 +11,13 @@ puncturing, and the single broadcast channel is replaced by the [n, 1] rank
 code decoded by brute-force closest-codeword search (field size is capped so
 this stays cheap).
 
-The protocol mirrors the plain two-round one: random codewords down, then a
-pseudo-basis (now F_{q^m}-linear) plus per-secret syndrome and masked value
-back.  The syndrome map is injective on spans all of whose elements have rank
-below the code distance; for spans of in-model errors this is checked by
-runtime assertions on every extracted and recovered error.
+The protocol is the two-round skeleton of protocols.run_basic, with
+RankContext (the Gabidulin privacy pair and the rank broadcast) in place of
+ProtocolContext.  The syndrome map is injective on spans all of whose
+elements have rank below the code distance; pseudobasis checks that bound on
+every extracted and recovered error, in the code's own metric.
 
-The rest is shared with the Hamming setting: transmissions run over
+The rest is shared with the Hamming setting too: transmissions run over
 channels.ChannelSession (GeneralizedAdversary supplies the taps arrays .
 lambda^T and the injection delta . mu), the privacy pair is an
 mds.PrivacyPair, and rank_privacy_audit uses the enumeration of
@@ -25,35 +25,18 @@ privacy_audit, running the secret-independent prefix once per choice of
 codewords for replay_safe strategies.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import gf, pseudobasis
-from .channels import (
-    ALICE_TO_BOB,
-    BOB_TO_ALICE,
-    PHASE_MASKED,
-    PHASE_PB_OVERHEAD,
-    PHASE_PSEUDO_BASIS,
-    PHASE_ROUND1,
-    ChannelSession,
-    ProtocolViolation,
-    view_bytes,
-)
+from . import gf
+from .channels import ChannelSession, ProtocolViolation
 from .mds import PrivacyPair
 from .protocols import (
     DEFAULT_AUDIT_BUDGET,
-    RunResult,
-    _check_pseudo_basis,
-    _check_secrets,
-    _decode_indices,
-    _encode_indices,
+    SessionParams,
     _exhaustive_audit,
-    _index_width,
-    _masked_indices,
-    _round_one_words,
+    _run,
     _runner_step,
+    _shared_prefix_step,
 )
 
 DECODE_TABLE_LIMIT = 1 << 16
@@ -199,17 +182,6 @@ def rank_broadcast_decode(bcode, t, arrays):
     return np.argmax(within, axis=1).astype(np.int64)
 
 
-def rank_recover_error(code, basis, syndromes):
-    """Syndrome decomposition in the basis span, asserting the recovered
-    errors stay below the code distance in rank."""
-    errors = pseudobasis.recover_error(code, basis, syndromes)
-    ranks = code.weights(np.atleast_2d(errors))
-    if len(ranks) and int(ranks.max()) >= code.d:
-        raise ProtocolViolation("recovered error of rank %d meets the code"
-                                % int(ranks.max()))
-    return errors
-
-
 class GeneralizedAdversary:
     """Fixed eavesdrop vectors lambda^(i) and tamper vectors mu^(i) in F_q^n.
 
@@ -335,18 +307,12 @@ def random_generalized_adversary(n, t, f, rng):
 RankChannelSession = ChannelSession
 
 
-@dataclass
-class RankParams:
-    n: int
-    t: int
-    l: int
-    field: object
+class RankParams(SessionParams):
+    """SessionParams over an extension field of degree at least n+1 (so the
+    [n+1, t+1] Gabidulin parent exists) small enough for brute-force rank
+    broadcast decoding."""
 
-    def __post_init__(self):
-        if self.t < 1 or self.n != 2 * self.t + 1:
-            raise ValueError("need n = 2t+1 with t >= 1, got n=%d t=%d" % (self.n, self.t))
-        if self.l < 1:
-            raise ValueError("need at least one secret, got l=%d" % self.l)
+    def _check_field(self):
         if not isinstance(self.field, gf.ExtensionField):
             raise ValueError("the rank protocol needs an extension field")
         if self.field.deg < self.n + 1:
@@ -358,89 +324,30 @@ class RankParams:
 
 
 class RankContext:
+    """The rank counterpart of protocols.ProtocolContext: the Gabidulin
+    privacy pair, and the [n, 1] rank code as the broadcast."""
+
     def __init__(self, params):
         self.params = params
         self.pair = rank_privacy_pair(params.n, params.t, params.field)
         self.code = self.pair.code
         self.bcast = rank_broadcast_code(params.n, params.field)
 
+    def broadcast_encode(self, symbols):
+        return rank_broadcast_encode(self.bcast, symbols)
 
-def _rank_common(params, ctx, session, X):
-    """Everything except the masked payload itself: round one, the
-    pseudo-basis traffic, the per-secret syndromes, and Bob's side of all of
-    it.  Nothing here depends on the secrets, so a caller evaluating many
-    secret values for one choice of codewords can do this part once."""
-    n, t, l, f = params.n, params.t, params.l, params.field
-    code, pair, bcode = ctx.code, ctx.pair, ctx.bcast
-    num_words = t + l
-    width = _index_width(num_words, f.q)
-
-    Y = session.transmit(BOB_TO_ALICE, X, PHASE_ROUND1)
-    pb = pseudobasis.compute_pseudo_basis(code, Y)
-    w = len(pb)
-    masked = _masked_indices(num_words, pb.indices, l)
-    syns = code.syndrome(Y[masked])
-
-    got_marker = session.transmit(
-        ALICE_TO_BOB, rank_broadcast_encode(bcode, [w]), PHASE_PB_OVERHEAD, public=True)
-    got_idx = got_words = None
-    if w:
-        got_idx = session.transmit(
-            ALICE_TO_BOB,
-            rank_broadcast_encode(bcode, _encode_indices(pb.indices, width, f.q)),
-            PHASE_PB_OVERHEAD, public=True)
-        got_words = session.transmit(
-            ALICE_TO_BOB, rank_broadcast_encode(bcode, pb.words.reshape(-1)),
-            PHASE_PSEUDO_BASIS, public=True)
-    got_syns = session.transmit(
-        ALICE_TO_BOB, rank_broadcast_encode(bcode, syns.reshape(-1)),
-        PHASE_MASKED, public=True)
-
-    w_bob = int(rank_broadcast_decode(bcode, t, got_marker)[0])
-    _check_pseudo_basis(w_bob, t, num_words)
-    if w_bob:
-        idx_bob = _decode_indices(rank_broadcast_decode(bcode, t, got_idx), width, f.q)
-        _check_pseudo_basis(w_bob, t, num_words, idx_bob)
-        words_bob = rank_broadcast_decode(bcode, t, got_words).reshape(w_bob, n)
-        pb_bob = pseudobasis.PseudoBasis(idx_bob, words_bob, code.syndrome(words_bob))
-        eb = pseudobasis.extract_error_basis(code, pb_bob, X)
-    else:
-        idx_bob = []
-        eb = pseudobasis.empty_error_basis(code)
-    masked_bob = _masked_indices(num_words, idx_bob, l)
-    syn_bob = rank_broadcast_decode(bcode, t, got_syns).reshape(l, n - code.k)
-    errors = rank_recover_error(code, eb, syn_bob)
-    y_bob = f.vadd(X[masked_bob], errors)
-    return {
-        "mask_alice": pair.mask(Y[masked]),
-        "mask_bob": pair.mask(y_bob),
-        "stats": {"w": w, "pb_indices": list(pb.indices), "masked_indices": masked},
-    }
-
-
-def _rank_deliver(params, ctx, session, common, secrets):
-    """The masked payload: the one message whose content carries the secrets."""
-    f = params.field
-    z = f.vadd(secrets, common["mask_alice"])
-    got_z = session.transmit(
-        ALICE_TO_BOB, rank_broadcast_encode(ctx.bcast, z), PHASE_MASKED, public=True)
-    z_bob = rank_broadcast_decode(ctx.bcast, params.t, got_z)
-    return f.vsub(z_bob, common["mask_bob"])
+    def broadcast_decode(self, arrays):
+        return rank_broadcast_decode(self.bcast, self.params.t, arrays)
 
 
 def run_rank_protocol(params, secrets, adversary=None, rng=None, bob_words=None,
                       context=None, record_transcript=False):
-    """Two rounds against a generalized adversary: random Gabidulin codewords
-    down; pseudo-basis, per-secret syndromes and masked values back, every
-    return symbol spread over the [n, 1] rank code."""
+    """The two-round skeleton of protocols.run_basic against a generalized
+    adversary: random Gabidulin codewords down; pseudo-basis, then per secret
+    a (syndrome || masked value) row back, every return symbol spread over
+    the [n, 1] rank code."""
     ctx = context if context is not None else RankContext(params)
-    secrets = _check_secrets(params, secrets)
-    session = ChannelSession(params.n, params.t, params.field, adversary, record_transcript)
-    X = _round_one_words(ctx.code, params.t + params.l, rng, bob_words)
-    common = _rank_common(params, ctx, session, X)
-    out = _rank_deliver(params, ctx, session, common, secrets)
-    vk = session.view_key() if adversary is not None else b""
-    return RunResult(out, session.ledger, session.transcript, common["stats"], vk)
+    return _run(ctx, secrets, adversary, rng, bob_words, record_transcript)
 
 
 def rank_audit_adversaries(params, seed=0):
@@ -468,45 +375,7 @@ def rank_privacy_audit(params, adversary, budget=DEFAULT_AUDIT_BUDGET):
     coordinate-model audit."""
     ctx = RankContext(params)
     if getattr(adversary, "replay_safe", False) and adversary.t > 0:
-        step = _shared_prefix_step(params, adversary, ctx)
+        step = _shared_prefix_step(params, run_rank_protocol, adversary, ctx)
     else:
         step = _runner_step(params, run_rank_protocol, adversary, ctx)
     return _exhaustive_audit(ctx.code, params.t + params.l, params.l, step, budget)
-
-
-def _shared_prefix_step(params, adversary, ctx):
-    """Audit step for a replay_safe strategy.  Everything before the masked
-    payload runs once per choice of codewords; each secret value then gets
-    only the payload, on the view restored to where the prefix left it, so
-    the strategy sees exactly what it would in a fresh run.  On the first
-    choice every secret is also checked against a fresh run."""
-    n, t, l, f = params.n, params.t, params.l, params.field
-
-    def step(X, secrets, first):
-        session = ChannelSession(n, t, f, adversary)
-        common = _rank_common(params, ctx, session, X)
-        view = session.eve_view
-        base = len(view)
-        prefix = view_bytes(view)
-        # the masked payloads and their taps for all secret values at once
-        num = secrets.shape[0]
-        enc = rank_broadcast_encode(ctx.bcast, f.vadd(secrets, common["mask_alice"]))
-        taps = adversary.tap(enc).reshape(num, l, adversary.t)
-        enc = enc.reshape(num, l, n)
-        delivered, keys = [], []
-        for s in range(num):
-            del view[base:]
-            delivered.append(session.intercept(ALICE_TO_BOB, PHASE_MASKED, enc[s], taps[s]))
-            view.append(("public", ALICE_TO_BOB, PHASE_MASKED, enc[s]))
-            keys.append(prefix + view_bytes(view[base:]))
-        z = rank_broadcast_decode(ctx.bcast, t, np.concatenate(delivered))
-        outs = f.vsub(z.reshape(num, l), common["mask_bob"])
-        for s in range(num):
-            yield outs[s], keys[s]
-            if first:
-                ref = run_rank_protocol(params, secrets[s], adversary, bob_words=X,
-                                        context=ctx)
-                if ref.view_key != keys[s] or not np.array_equal(ref.secrets, outs[s]):
-                    raise RuntimeError("shared-round audit path diverged from a fresh run")
-
-    return step

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -168,3 +169,30 @@ def test_run_refuses_unusable_field(tmp_path, capsys, n, q, message):
     rc = main(["run", "--n", n, "--q", q, "--out", str(tmp_path)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+# sha256 of phases.csv followed by summary.csv, for one seeded run of each
+# protocol against a tampering adversary.  Changes that only restructure the
+# code must leave these outputs byte-identical.
+PINNED_RUNS = {
+    "basic": (["--protocol", "basic", "--n", "7", "--l", "5", "--q", "16",
+               "--adversary", "replay"],
+              "674014f0c82733a45c20e828e90666c76c4e6905ea9c13f2bdbfc1b4421d5b9f"),
+    "improved": (["--protocol", "improved", "--n", "7", "--l", "5",
+                  "--adversary", "targeted-syndrome"],
+                 "d830568096a4b93733112d6258e0795451a4e89471078978fff4b1ad6beda295"),
+    "rank": (["--protocol", "rank", "--n", "3", "--l", "3",
+              "--adversary", "tap-replay"],
+             "bb40dbe2cd8c449e81992bfd869333db6a09b85c5dd671a21d2bde1a6c82ec9b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_outputs_match_pinned_digests(tmp_path, capsys, name):
+    args, digest = PINNED_RUNS[name]
+    assert main(["run", *args, "--trials", "4", "--seed", "13",
+                 "--out", str(tmp_path)]) == 0
+    h = hashlib.sha256()
+    for csv in ("phases.csv", "summary.csv"):
+        h.update((tmp_path / csv).read_bytes())
+    assert h.hexdigest() == digest

@@ -299,11 +299,14 @@ def test_privacy_audit_catches_leak():
 
     def leaky(params, secrets, adversary, bob_words=None, context=None):
         return RunResult(secrets.copy(), CostLedger(params.field.q), None,
-                         {}, bytes([int(secrets[0])]))
+                         {}, bytes([4 - int(secrets[0])]))
 
     rep = privacy_audit(p, leaky, PassiveAdversary((0,), p.field))
     assert not rep.passed
-    assert "distinguishing view" in rep.detail
+    assert rep.num_views == 1
+    # of the views 04 (secret 0) and 03 (secret 1), the smaller in byte order
+    assert rep.detail == ("view multisets differ between secrets 0 and 1; "
+                          "distinguishing view (hex) 03")
 
 
 def test_audit_adversary_set():
@@ -375,3 +378,18 @@ def test_delivery_sweep_extension_fields(q):
             for runner in (run_basic, run_improved):
                 res = runner(p, secrets, adversary=adv, rng=rng, context=ctx)
                 assert np.array_equal(res.secrets, secrets), (name, seed)
+
+
+def test_improved_stats_keys_do_not_depend_on_w():
+    # a passive run has w = 0, a targeted-syndrome one w = t; both report
+    # the same keys, pb_indices included
+    p = params_for(7, l=3)
+    ctx = ProtocolContext(p)
+    chans = (0, 1, 2)
+    passive = run_improved(p, [1, 2, 3], PassiveAdversary(chans, p.field),
+                           rng=np.random.default_rng(0), context=ctx)
+    targeted = run_improved(p, [1, 2, 3], TargetedSyndromeAdversary(chans, p.field),
+                            rng=np.random.default_rng(0), context=ctx)
+    assert passive.stats["w"] == 0 and targeted.stats["w"] == 3
+    assert passive.stats["pb_indices"] == []
+    assert set(passive.stats) == set(targeted.stats)

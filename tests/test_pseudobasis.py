@@ -284,3 +284,15 @@ def test_rounds_match_greedy_scan(q):
         assert pb.indices == kept
         assert np.array_equal(pb.words, want_words)
         assert np.array_equal(pb.syndromes, want_syns)
+
+
+def test_recover_refuses_error_at_distance():
+    # two weight-2 basis errors over F_7, n = 5, d = 3: the syndrome of their
+    # sum lies in the span, but the error it names has weight 4 >= d
+    f = gf.field(7)
+    code = mds.ReedSolomonCode(5, 3, f)
+    errors = np.array([[1, 2, 0, 0, 0], [0, 0, 3, 4, 0]], dtype=np.int64)
+    eb = pseudobasis.ErrorBasis([0, 1], errors, code.syndrome(errors),
+                                np.array([0, 1, 2, 3], dtype=np.int64))
+    with pytest.raises(ProtocolViolation, match="weight 4"):
+        pseudobasis.recover_error(code, eb, code.syndrome(f.vadd(errors[0], errors[1])))

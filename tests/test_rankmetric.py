@@ -15,8 +15,16 @@ from psmt.channels import (
     ChannelSession,
     view_bytes,
 )
-from psmt.pseudobasis import compute_pseudo_basis, extract_error_basis
-from psmt.protocols import AuditBudgetExceeded, ProtocolViolation, _index_width
+from psmt.pseudobasis import compute_pseudo_basis, extract_error_basis, recover_error
+from psmt.protocols import (
+    AuditBudgetExceeded,
+    ProtocolViolation,
+    SessionParams,
+    _deliver,
+    _index_width,
+    _prefix,
+    run_basic,
+)
 from psmt.rankmetric import (
     GabidulinCode,
     GeneralizedAdversary,
@@ -24,8 +32,6 @@ from psmt.rankmetric import (
     RankFixedTamperAdversary,
     RankParams,
     RankPassiveAdversary,
-    _rank_common,
-    _rank_deliver,
     random_generalized_adversary,
     rank_audit_adversaries,
     rank_broadcast_code,
@@ -35,7 +41,6 @@ from psmt.rankmetric import (
     rank_of_batch,
     rank_privacy_audit,
     rank_privacy_pair,
-    rank_recover_error,
     run_rank_protocol,
 )
 
@@ -216,7 +221,7 @@ def test_rank_pseudo_basis_and_recovery():
     assert np.array_equal(eb.errors, np.stack([e1, e2]))
     # a fresh word hit by e1 + e2 decomposes in the span
     syn = code.syndrome(f.vadd(x[0], f.vadd(e1, e2)))
-    rec = rank_recover_error(code, eb, f.vsub(syn, code.syndrome(x[0])))
+    rec = recover_error(code, eb, f.vsub(syn, code.syndrome(x[0])))
     assert np.array_equal(rec, f.vadd(e1, e2))
 
 
@@ -325,13 +330,13 @@ def test_shared_round_path_matches_fresh_runs():
         for choice_seed in range(3):
             X = ctx.code.random_codeword(np.random.default_rng(choice_seed), 2)
             session = ChannelSession(p.n, p.t, f, adv)
-            common = _rank_common(p, ctx, session, X)
+            state = _prefix(ctx, session, X)
             base = len(session.eve_view)
             prefix = view_bytes(session.eve_view)
             for s in range(16):
                 del session.eve_view[base:]
                 secret = np.array([s], dtype=np.int64)
-                out = _rank_deliver(p, ctx, session, common, secret)
+                out = _deliver(ctx, session, state, secret)
                 vk = prefix + view_bytes(session.eve_view[base:])
                 fresh = run_rank_protocol(p, secret, adversary=adv, bob_words=X)
                 assert np.array_equal(out, fresh.secrets)
@@ -451,3 +456,17 @@ def test_rank_broadcast_table_matches_direct_ranks():
             outcomes.add(outcome(direct, word[None, :]))
             assert outcome(table, word[None, :]) == outcome(direct, word[None, :])
     assert "no decode" in outcomes
+
+
+def test_one_masked_phase_transmission_in_both_settings():
+    # the masked phase is one broadcast of l (syndrome || masked value) rows,
+    # t + 1 symbols each, for the Hamming and the rank skeleton alike
+    n, t, l = 3, 1, 2
+    hp = SessionParams(n, t, l, gf.field(5))
+    rp = RankParams(n, t, l, gf.field(2, 4))
+    for run, p in ((run_basic, hp), (run_rank_protocol, rp)):
+        res = run(p, [1, 2], rng=np.random.default_rng(3), record_transcript=True)
+        masked = [r for r in res.transcript.records if r[1] == PHASE_MASKED]
+        assert len(masked) == 1
+        assert masked[0][3].shape == (l * (t + 1), n)
+        assert list(res.secrets) == [1, 2]
