@@ -8,8 +8,9 @@ rank at most t as an m x n matrix over F_q, so Hamming machinery is replaced
 by the rank metric: Gabidulin codes (evaluations of linearized polynomials at
 F_q-independent points) are MRD when m >= n, a rank privacy pair comes from
 puncturing, and the single broadcast channel is replaced by the [n, 1] rank
-code decoded by brute-force closest-codeword search (field size is capped so
-this stays cheap).
+code, decoded exactly by a vote over the p^n F_p-combinations of each
+received word (rank_broadcast_decode; field size is capped so a per-symbol
+count stays cheap).
 
 The protocol is the two-round skeleton of protocols.run_basic, with
 RankContext (the Gabidulin privacy pair and the rank broadcast) in place of
@@ -48,24 +49,49 @@ def _base_field(f):
     return f._base_prime_field
 
 
+# Largest number of entries any one array of the combination helpers holds;
+# longer batches go in row chunks.
+_CHUNK_ENTRIES = 1 << 20
+
+
+def _combinations(f, words):
+    """Every F_p-combination of each word's entries, (B, n) -> (B, p^n):
+    column sum_j v_j p^j holds sum_j v_j * words[:, j], so column 0 is 0."""
+    acc = np.zeros((words.shape[0], 1), dtype=np.int64)
+    for j in range(words.shape[1]):
+        parts = [acc]  # acc + v_j * words[:, j] for v_j = 0, 1, ..., p - 1
+        for _ in range(f.p - 1):
+            parts.append(f.vadd(parts[-1], words[:, j : j + 1]))
+        acc = np.concatenate(parts, axis=1)
+    return acc
+
+
+def _by_chunks(fn, rows, width):
+    """fn over chunks of rows, each small enough that a (chunk, width) array
+    stays within _CHUNK_ENTRIES; results concatenated."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    return np.concatenate([fn(rows[i : i + step]) for i in range(0, max(len(rows), 1), step)])
+
+
 def rank_of(f, word):
     """Rank over F_q of the deg x n coefficient matrix of a word."""
     return int(rank_of_batch(f, np.asarray(word, dtype=np.int64)[None, :])[0])
 
 
 def rank_of_batch(f, words):
-    """Ranks of a stack of words, shape (B, n) -> (B,)."""
+    """Ranks of a stack of words, shape (B, n) -> (B,).
+
+    A word of rank r has p^(n - r) combinations equal to zero (the kernel of
+    v -> word . v on F_p^n), so the rank is n - log_p of that count.  Words
+    too long for p^n combinations to fit one chunk are row-reduced one by
+    one."""
     words = np.asarray(words, dtype=np.int64)
     nb, n = words.shape
-    if f.p == 2 and f.q <= 64 and (nb << n) <= (1 << 22):
-        # span size over F_2 is the number of distinct XOR combinations,
-        # counted as bits of an unsigned 64-bit mask
-        acc = np.zeros((nb, 1), dtype=np.uint64)
-        for j in range(n):
-            acc = np.concatenate([acc, acc ^ words[:, j : j + 1].astype(np.uint64)], axis=1)
-        masks = np.bitwise_or.reduce(np.uint64(1) << acc, axis=1)
-        counts = np.bitwise_count(masks).astype(np.int64)
-        return np.rint(np.log2(counts)).astype(np.int64)
+    span = f.p**n
+    if span <= _CHUNK_ENTRIES:
+        zeros = _by_chunks(lambda w: np.count_nonzero(_combinations(f, w) == 0, axis=1),
+                           words, span)
+        return n - np.searchsorted(f.p ** np.arange(n + 1, dtype=np.int64), zeros)
     base = _base_field(f)
     out = np.zeros(nb, dtype=np.int64)
     for i in range(nb):
@@ -146,17 +172,22 @@ def rank_privacy_pair(n, t, f):
 
 
 def rank_broadcast_code(n, f):
-    """The [n, 1] rank code: one symbol spread as c * points, rank distance n."""
+    """The [n, 1] rank code: one symbol c spread as c * g, g the code's
+    F_p-independent points, rank distance n.
+
+    Independence makes g . v nonzero for every nonzero v in F_p^n, so the
+    decoder's votes (r . v) / (g . v) are defined; the inverses 1 / (g . v)
+    are kept here, in the column order of _combinations minus the zero
+    column."""
     if f.q > DECODE_TABLE_LIMIT:
         raise ValueError("field too large for brute-force broadcast decoding")
     code = GabidulinCode(n, 1, f)
     code.cand_words = f.vmul(np.arange(f.q, dtype=np.int64)[:, None], code.points[None, :])
-    # small enough (as at the audit sizes), a table holds every word's rank,
-    # indexed by the word read as a base-q number
-    code.word_ranks = None
-    if f.q**n <= DECODE_TABLE_LIMIT:
-        code.places = f.q ** np.arange(n, dtype=np.int64)
-        code.word_ranks = rank_of_batch(f, np.arange(f.q**n)[:, None] // code.places % f.q)
+    code.inv_gv = f.vinv(_combinations(f, code.points[None, :])[0, 1:])
+    # small enough (as at the audit sizes), a table per radius t holds every
+    # word's decoded symbol (or -1), indexed by the word read as a base-q number
+    code.places = f.q ** np.arange(n, dtype=np.int64) if f.q**n <= DECODE_TABLE_LIMIT else None
+    code.decode_tables = {}
     return code
 
 
@@ -165,21 +196,46 @@ def rank_broadcast_encode(bcode, symbols):
     return bcode.cand_words[symbols]
 
 
+def _vote_decode(bcode, t, arrays):
+    """The symbol c with rank(r - c * g) <= t for each received row r, or -1
+    where no symbol or several qualify.
+
+    For v in F_p^n, (r - c * g) . v = 0 exactly when c = (r . v) / (g . v),
+    so every nonzero v votes for one symbol, and c collects
+    |ker(r - c * g)| - 1 = p^(n - rank(r - c * g)) - 1 votes: rank <= t
+    exactly when c holds at least p^(n - t) - 1 of them.  This is the
+    closest-codeword verdict of trying all q symbols, with p^n field
+    operations per row and no rank computation."""
+    f = bcode.field
+    need = f.p ** (bcode.n - t) - 1
+
+    def chunk(rows):
+        votes = f.vmul(_combinations(f, rows)[:, 1:], bcode.inv_gv)
+        votes += f.q * np.arange(len(rows), dtype=np.int64)[:, None]
+        counts = np.bincount(votes.ravel(), minlength=len(rows) * f.q).reshape(-1, f.q)
+        within = counts >= need
+        return np.where(within.sum(axis=1) == 1, np.argmax(within, axis=1), -1)
+
+    return _by_chunks(chunk, arrays, max(f.p**bcode.n, f.q))
+
+
 def rank_broadcast_decode(bcode, t, arrays):
-    """Brute-force closest codeword in rank distance; with at most t rank of
-    tampering the sent symbol is the unique candidate within radius t."""
+    """Closest codeword in rank distance, by the kernel vote of _vote_decode;
+    with at most t rank of tampering the sent symbol is the unique candidate
+    within radius t, and any row without one raises ProtocolViolation."""
     f = bcode.field
     arrays = np.asarray(arrays, dtype=np.int64)
-    nb = arrays.shape[0]
-    diffs = f.vsub(arrays[:, None, :], bcode.cand_words[None, :, :])
-    if bcode.word_ranks is not None:
-        ranks = bcode.word_ranks[diffs @ bcode.places]
+    if bcode.places is None:
+        out = _vote_decode(bcode, t, arrays)
     else:
-        ranks = rank_of_batch(f, diffs.reshape(nb * f.q, -1)).reshape(nb, f.q)
-    within = ranks <= t
-    if np.any(within.sum(axis=1) != 1):
+        table = bcode.decode_tables.get(t)
+        if table is None:
+            words = np.arange(f.q**bcode.n, dtype=np.int64)[:, None] // bcode.places % f.q
+            table = bcode.decode_tables[t] = _vote_decode(bcode, t, words)
+        out = table[arrays @ bcode.places]
+    if np.any(out < 0):
         raise ProtocolViolation("rank broadcast not uniquely decodable")
-    return np.argmax(within, axis=1).astype(np.int64)
+    return out
 
 
 class GeneralizedAdversary:
@@ -309,8 +365,8 @@ RankChannelSession = ChannelSession
 
 class RankParams(SessionParams):
     """SessionParams over an extension field of degree at least n+1 (so the
-    [n+1, t+1] Gabidulin parent exists) small enough for brute-force rank
-    broadcast decoding."""
+    [n+1, t+1] Gabidulin parent exists) small enough for the rank broadcast
+    decoder's per-symbol vote counts."""
 
     def _check_field(self):
         if not isinstance(self.field, gf.ExtensionField):

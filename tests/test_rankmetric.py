@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from psmt import gf
+from psmt import gf, rankmetric
 from psmt.channels import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
@@ -362,7 +362,7 @@ def test_view_bytes_separates_entries():
 
 
 def test_rank_of_uint64_masks_on_f64():
-    # F_2^6 takes the XOR-span path; words holding 63 need mask bit 63
+    # F_2^6 (q = 64, the benchmark's field): words holding the top element
     f = gf.field(2, 6)
     rng = np.random.default_rng(64)
     words = f.random(rng, (300, 5))
@@ -428,15 +428,34 @@ def test_rank_traffic_validation():
             rank_privacy_audit(p, adv)
 
 
+def _outcome(bcode, t, word):
+    try:
+        return int(rank_broadcast_decode(bcode, t, word[None, :])[0])
+    except ProtocolViolation:
+        return "no decode"
+
+
+def _decode_oracle(f, points, t, word):
+    """Try every symbol c: the unique one with rank(word - c * points) <= t."""
+    within = [c for c in range(f.q)
+              if _word_rank_oracle(f, f.vsub(word, f.vmul(np.int64(c), points))) <= t]
+    return within[0] if len(within) == 1 else "no decode"
+
+
+def _vote_path(bcode):
+    """The same code with its per-word table switched off."""
+    bcode.places = None
+    return bcode
+
+
 def test_rank_broadcast_table_matches_direct_ranks():
-    # at q^n <= 2^16 the decoder reads ranks from a table; it must agree
-    # with computing them word by word
+    # at q^n <= 2^16 the decoder reads each word's symbol from a table of
+    # the vote's answers; it must agree with voting word by word
     f = gf.field(2, 4)
     table = rank_broadcast_code(3, f)
-    direct = rank_broadcast_code(3, f)
-    direct.word_ranks = None
-    assert np.array_equal(table.word_ranks, rank_of_batch(f, np.array(
-        list(itertools.product(range(16), repeat=3)))[:, ::-1]))
+    direct = _vote_path(rank_broadcast_code(3, f))
+    words = np.array(list(itertools.product(range(16), repeat=3)), dtype=np.int64)
+    assert [_outcome(table, 1, w) for w in words] == [_outcome(direct, 1, w) for w in words]
     rng = np.random.default_rng(4)
     sent = rank_broadcast_encode(table, f.random(rng, 200))
     errors = f.vmul(f.random(rng, (200, 1)), rng.integers(0, 2, size=(200, 3)))
@@ -444,18 +463,85 @@ def test_rank_broadcast_table_matches_direct_ranks():
     assert np.array_equal(rank_broadcast_decode(table, 1, got),
                           rank_broadcast_decode(direct, 1, got))
 
-    def outcome(bcode, word):
-        try:
-            return int(rank_broadcast_decode(bcode, 1, word)[0])
-        except ProtocolViolation:
-            return "no decode"
-
     outcomes = set()
     for e in ([1, 2, 0], [3, 0, 12], [0, 6, 1], [5, 9, 14]):  # rank >= 2
         for word in f.vadd(sent[:20], np.array(e)):
-            outcomes.add(outcome(direct, word[None, :]))
-            assert outcome(table, word[None, :]) == outcome(direct, word[None, :])
+            outcomes.add(_outcome(direct, 1, word))
+            assert _outcome(table, 1, word) == _outcome(direct, 1, word)
     assert "no decode" in outcomes
+
+
+def test_rank_broadcast_exhaustive_against_oracle(monkeypatch):
+    # every word of F_16^3 at t = 1, through the table and the vote path
+    f = gf.field(2, 4)
+    table = rank_broadcast_code(3, f)
+    direct = _vote_path(rank_broadcast_code(3, f))
+    words = np.array(list(itertools.product(range(16), repeat=3)), dtype=np.int64)
+    want = [_decode_oracle(f, table.points, 1, w) for w in words]
+    assert [_outcome(table, 1, w) for w in words] == want
+    assert [_outcome(direct, 1, w) for w in words] == want
+    assert want.count("no decode") > 0
+    # one batch of every decodable word, voted in chunks of a few rows
+    ok = np.array([x != "no decode" for x in want])
+    monkeypatch.setattr(rankmetric, "_CHUNK_ENTRIES", 100)
+    assert list(rank_broadcast_decode(direct, 1, words[ok])) == [x for x in want if x != "no decode"]
+
+
+def _low_rank(f, rng, count, n, rank):
+    """count words sum_i a_i * u_i of rank <= rank, a_i in F_q, u_i in F_p^n."""
+    a = f.random(rng, (count, rank))
+    u = rng.integers(0, f.p, size=(count, rank, n)).astype(np.int64)
+    out = f.zeros((count, n))
+    for i in range(rank):
+        out = f.vadd(out, f.vmul(a[:, i : i + 1], u[:, i]))
+    return out
+
+
+@pytest.mark.parametrize("p,m,n,t", [(2, 6, 5, 2), (3, 4, 3, 1), (2, 8, 7, 3)])
+def test_rank_broadcast_sampled_against_oracle(p, m, n, t):
+    # 25 words each with an error of rank <= t, of rank t + 1, and uniform
+    count = 25
+    f = gf.field(p, m)
+    bcode = rank_broadcast_code(n, f)
+    assert bcode.places is None  # q^n > 2^16: the vote path
+    rng = np.random.default_rng([p, m, n])
+    symbols = f.random(rng, 3 * count)
+    sent = rank_broadcast_encode(bcode, symbols)
+    light = _low_rank(f, rng, count, n, t)
+    heavy = _low_rank(f, rng, 4 * count, n, t + 1)
+    heavy = heavy[rank_of_batch(f, heavy) == t + 1][:count]
+    assert len(heavy) == count
+    words = f.vadd(sent, np.concatenate([light, heavy, f.random(rng, (count, n))]))
+    want = [_decode_oracle(f, bcode.points, t, w) for w in words]
+    assert [_outcome(bcode, t, w) for w in words] == want
+    assert want[:count] == list(symbols[:count])  # rank <= t: the sent symbol
+
+
+def test_rank_protocol_needs_no_row_reduction(monkeypatch):
+    # the broadcast decoder and rank_of_batch count combinations; neither
+    # falls back to a per-word gf.mat_rank at these sizes
+    def refuse(*args):
+        raise AssertionError("gf.mat_rank called")
+
+    monkeypatch.setattr(gf, "mat_rank", refuse)
+    for p, l in ((2, 1000), (3, 25)):
+        params = RankParams(5, 2, l, gf.field(p, 6))
+        rng = np.random.default_rng([p, l])
+        adv = random_generalized_adversary(5, 2, params.field, rng)
+        secrets = params.field.random(rng, l)
+        res = run_rank_protocol(params, secrets, adversary=adv, rng=rng)
+        assert np.array_equal(res.secrets, secrets)
+
+
+@pytest.mark.parametrize("limit", [40, 16])
+def test_rank_of_batch_chunks_and_row_reduction(monkeypatch, limit):
+    # 40 entries: one F_2 word of length 5 per chunk; 16: too short for 2^5
+    # combinations, so each word is row-reduced
+    monkeypatch.setattr(rankmetric, "_CHUNK_ENTRIES", limit)
+    f = gf.field(2, 4)
+    words = f.random(np.random.default_rng(8), (50, 5))
+    got = rank_of_batch(f, words)
+    assert [int(r) for r in got] == [_word_rank_oracle(f, w) for w in words]
 
 
 def test_one_masked_phase_transmission_in_both_settings():
