@@ -133,7 +133,7 @@ class AdversaryStrategy:
         pass
 
     def tap(self, arrays):
-        return arrays[:, list(self.corrupted)]
+        return np.take(arrays, self.corrupted, axis=1)
 
     def reply(self, direction, phase, taps, view):
         return self.tamper(direction, phase, taps, view)

@@ -49,9 +49,6 @@ class _FieldBase:
             raise ValueError("array holds values outside %r" % (self,))
         return a
 
-    def elements(self):
-        return range(self.q)
-
     def zeros(self, shape):
         return np.zeros(shape, dtype=np.int64)
 
@@ -61,9 +58,6 @@ class _FieldBase:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
@@ -137,6 +131,9 @@ class PrimeField(_FieldBase):
 
     def vneg(self, a):
         return (-a) % self.p
+
+    def vsub(self, a, b):
+        return (a - b) % self.p
 
     def vinv(self, a):
         a = np.asarray(a)
@@ -546,22 +543,24 @@ def solve_right(f, A, b):
 
     Returns (x, ok): free variables are set to zero, and ok flags consistency
     (a bool, or a bool array with one entry per right-hand column).
+
+    A is factored once, whatever the number of columns of b: eliminating
+    [A | I] gives the reduced row echelon form R = T A, with w pivots, and
+    T.  Then T b is the right-hand part of the reduced [A | b], so x at the
+    pivots is T[:w] b, and a column is consistent when T[w:] b is zero.
     """
     A = np.asarray(A, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     single = b.ndim == 1
     b2 = b[:, None] if single else b
-    ncols = A.shape[1]
-    aug = np.concatenate([A, b2], axis=1)
+    rows, ncols = A.shape
+    aug = np.concatenate([A, np.eye(rows, dtype=np.int64)], axis=1)
     pivots = _eliminate(f, aug, ncols)
-    zero_rows = ~np.any(aug[:, :ncols] != 0, axis=1)
-    if zero_rows.any():
-        ok = ~np.any(aug[zero_rows][:, ncols:] != 0, axis=0)
-    else:
-        ok = np.ones(b2.shape[1], dtype=bool)
+    tb = mat_mul(f, aug[:, ncols:], b2)
+    w = len(pivots)
+    ok = ~np.any(tb[w:] != 0, axis=0)
     x = f.zeros((ncols, b2.shape[1]))
-    for row, col in enumerate(pivots):
-        x[col] = aug[row, ncols:]
+    x[pivots] = tb[:w]
     if single:
         return x[:, 0], bool(ok[0])
     return x, ok

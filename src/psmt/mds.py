@@ -90,20 +90,6 @@ class ReedSolomonCode:
         """Hamming weights of a stack of words."""
         return np.count_nonzero(words, axis=-1)
 
-    def contains(self, word):
-        return not np.any(self.syndrome(word))
-
-    def unique_decode(self, y):
-        """Closest codeword within floor((d-1)/2), or None if there is none.
-
-        Returns (codeword, error) with y = codeword + error.
-        """
-        y = np.asarray(y, dtype=np.int64)
-        X, E, ok = self.unique_decode_batch(y[None, :])
-        if not ok[0]:
-            return None
-        return X[0], E[0]
-
     def unique_decode_batch(self, Y, erasures=()):
         """Vectorized unique decoding from syndromes: (codewords, errors, ok).
 

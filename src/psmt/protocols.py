@@ -86,13 +86,33 @@ class ProtocolContext:
         return broadcast.broadcast_decode(arrays, self.params.t)
 
 
-@dataclass
 class RunResult:
-    secrets: np.ndarray
-    ledger: object
-    transcript: object
-    stats: dict
-    view_key: bytes = b""
+    """What a run delivered: the secrets, the cost ledger, the transcript (or
+    None), its stats, and view_key, canonical bytes of everything the
+    adversary saw (b"" without an adversary).  Only audits read view_key,
+    so a run's result builds it from the run's session on first access."""
+
+    def __init__(self, secrets, ledger, transcript, stats, view_key=b""):
+        self.secrets = secrets
+        self.ledger = ledger
+        self.transcript = transcript
+        self.stats = stats
+        self._view_key = view_key
+        self._session = None
+
+    @classmethod
+    def _from_session(cls, session, secrets, stats):
+        result = cls(secrets, session.ledger, session.transcript, stats)
+        if session.adversary is not None:
+            result._session = session
+        return result
+
+    @property
+    def view_key(self):
+        if self._session is not None:
+            self._view_key = self._session.view_key()
+            self._session = None
+        return self._view_key
 
 
 def _index_width(count, q):
@@ -241,8 +261,7 @@ def _run(ctx, secrets, adversary, rng, bob_words, record_transcript):
     X = _round_one_words(ctx.code, params.t + params.l, rng, bob_words)
     state = _prefix(ctx, session, X)
     out = _deliver(ctx, session, state, secrets)
-    vk = session.view_key() if adversary is not None else b""
-    return RunResult(out, session.ledger, session.transcript, state.stats, vk)
+    return RunResult._from_session(session, out, state.stats)
 
 
 def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
@@ -429,8 +448,7 @@ def run_improved(params, secrets, adversary=None, rng=None, bob_words=None,
     stats["masked_indices"] = masked
     stats["support_size"] = int(len(eb.support))
     stats["branch"] = branch
-    vk = session.view_key() if adversary is not None else b""
-    return RunResult(out, session.ledger, session.transcript, stats, vk)
+    return RunResult._from_session(session, out, stats)
 
 
 def send_pseudo_basis_incremental(ctx, session, pb, width):

@@ -52,9 +52,12 @@ def compute_pseudo_basis(code, words):
     """Greedy scan in input order, keeping each word whose syndrome is outside
     the span of the syndromes kept so far.  At most n - k words are kept.
 
-    Works in at most n - k + 1 rounds: each reduces every syndrome after the
-    last kept word against the reduced row echelon basis of the kept ones,
-    with one matrix product, and keeps the first that does not vanish."""
+    Takes the syndromes in windows of 2 (n - k): each window is reduced
+    against the reduced row echelon basis of the kept ones with one matrix
+    product, and each word kept inside it reduces the rest of the window
+    with one rank-1 update.  A reduced syndrome is zero exactly when it is in
+    the span, so the picks are the greedy scan's, and once n - k words are
+    kept no later syndrome is reduced."""
     f = code.field
     words = np.asarray(words, dtype=np.int64)
     syns = code.syndrome(words)
@@ -63,23 +66,30 @@ def compute_pseudo_basis(code, words):
     basis = f.zeros((nsyn, nsyn))  # rows 0 .. len(kept)-1 are in use
     pivots = []
     start = 0
-    while len(pivots) < nsyn:
-        w = len(pivots)
-        rest = syns[start:]
-        if w:
-            rest = f.vsub(rest, gf.mat_mul(f, rest[:, pivots], basis[:w]))
-        live = rest.any(axis=1).nonzero()[0]
-        if not live.size:
-            break
-        row = rest[live[0]]
-        pc = int(row.nonzero()[0][0])
-        row = f.vmul(row, f.vinv(row[pc:pc + 1]))
-        if w:
-            basis[:w] = f.vsub(basis[:w], f.vmul(basis[:w, pc:pc + 1], row))
-        basis[w] = row
-        pivots.append(pc)
-        kept.append(start + int(live[0]))
-        start = kept[-1] + 1
+    while start < len(syns) and len(pivots) < nsyn:
+        rest = syns[start:start + 2 * nsyn]
+        if pivots:
+            rest = f.vsub(rest, gf.mat_mul(f, rest[:, pivots], basis[:len(pivots)]))
+        row = None
+        while len(pivots) < nsyn:
+            if row is not None:
+                rest = f.vsub(rest, f.vmul(rest[:, pc:pc + 1], row))
+            live = rest.any(axis=1).nonzero()[0]
+            if not live.size:
+                break
+            i = int(live[0])
+            row = rest[i]
+            pc = int(row.nonzero()[0][0])
+            row = f.vmul(row, f.vinv(row[pc:pc + 1]))
+            w = len(pivots)
+            if w:
+                basis[:w] = f.vsub(basis[:w], f.vmul(basis[:w, pc:pc + 1], row))
+            basis[w] = row
+            pivots.append(pc)
+            kept.append(start + i)
+            start += i + 1
+            rest = rest[i + 1:]
+        start += len(rest)
     return PseudoBasis(kept, words[kept].copy(), syns[kept].copy())
 
 

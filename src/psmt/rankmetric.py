@@ -9,8 +9,8 @@ by the rank metric: Gabidulin codes (evaluations of linearized polynomials at
 F_q-independent points) are MRD when m >= n, a rank privacy pair comes from
 puncturing, and the single broadcast channel is replaced by the [n, 1] rank
 code, decoded exactly by a vote over the p^n F_p-combinations of each
-received word (rank_broadcast_decode; field size is capped so a per-symbol
-count stays cheap).
+received word (rank_broadcast_decode; the field order is capped, which bounds
+its q x n candidate table and (rows, q) vote counts).
 
 The protocol is the two-round skeleton of protocols.run_basic, with
 RankContext (the Gabidulin privacy pair and the rank broadcast) in place of
@@ -171,6 +171,15 @@ def rank_privacy_pair(n, t, f):
     raise AssertionError("no usable parity row (unreachable for d > 1)")
 
 
+def _check_decode_cap(f):
+    """Refuses a field past DECODE_TABLE_LIMIT, which bounds the rank
+    broadcast's q x n candidate table and its (rows, q) vote counts."""
+    if f.q > DECODE_TABLE_LIMIT:
+        raise ValueError("field order %d exceeds %d, the cap on the rank broadcast's "
+                         "q x n candidate table and (rows, q) vote counts"
+                         % (f.q, DECODE_TABLE_LIMIT))
+
+
 def rank_broadcast_code(n, f):
     """The [n, 1] rank code: one symbol c spread as c * g, g the code's
     F_p-independent points, rank distance n.
@@ -179,8 +188,7 @@ def rank_broadcast_code(n, f):
     decoder's votes (r . v) / (g . v) are defined; the inverses 1 / (g . v)
     are kept here, in the column order of _combinations minus the zero
     column."""
-    if f.q > DECODE_TABLE_LIMIT:
-        raise ValueError("field too large for brute-force broadcast decoding")
+    _check_decode_cap(f)
     code = GabidulinCode(n, 1, f)
     code.cand_words = f.vmul(np.arange(f.q, dtype=np.int64)[:, None], code.points[None, :])
     code.inv_gv = f.vinv(_combinations(f, code.points[None, :])[0, 1:])
@@ -365,8 +373,8 @@ RankChannelSession = ChannelSession
 
 class RankParams(SessionParams):
     """SessionParams over an extension field of degree at least n+1 (so the
-    [n+1, t+1] Gabidulin parent exists) small enough for the rank broadcast
-    decoder's per-symbol vote counts."""
+    [n+1, t+1] Gabidulin parent exists) of order at most DECODE_TABLE_LIMIT,
+    the rank broadcast's cap."""
 
     def _check_field(self):
         if not isinstance(self.field, gf.ExtensionField):
@@ -374,9 +382,7 @@ class RankParams(SessionParams):
         if self.field.deg < self.n + 1:
             raise ValueError("extension degree %d too small for n=%d (need n+1)"
                              % (self.field.deg, self.n))
-        if self.field.q > DECODE_TABLE_LIMIT:
-            raise ValueError("field order %d exceeds the broadcast decode cap"
-                             % self.field.q)
+        _check_decode_cap(self.field)
 
 
 class RankContext:

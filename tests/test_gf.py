@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psmt import gf
+from helpers import elements, sub
 
 
 # independent polynomial-reduction oracle for extension field products
@@ -84,8 +85,8 @@ def test_default_modulus_is_smallest():
 @pytest.mark.parametrize("f", [gf.field(2, 3, (1, 1, 0, 1)), gf.field(3, 2, (1, 0, 1))])
 def test_mul_table_matches_polynomial_reduction(f):
     # exhaustive check of the exp/log based product in F_8 and F_9
-    for a in f.elements():
-        for b in f.elements():
+    for a in elements(f):
+        for b in elements(f):
             assert f.mul(a, b) == mul_oracle(f, a, b)
             assert f.add(a, b) == add_oracle(f, a, b)
 
@@ -99,7 +100,7 @@ def test_known_products_f8():
 
 @pytest.mark.parametrize("f", SMALL_FIELDS)
 def test_field_axioms_exhaustive(f):
-    els = list(f.elements())
+    els = list(elements(f))
     for a in els:
         assert f.add(a, 0) == a
         assert f.mul(a, 1) == a
@@ -133,7 +134,7 @@ def test_vector_ops_match_scalar(f):
         assert int(va[i]) == f.add(ai, bi)
         assert int(vm[i]) == f.mul(ai, bi)
         assert int(vn[i]) == f.neg(ai)
-        assert int(vs[i]) == f.sub(ai, bi)
+        assert int(vs[i]) == sub(f, ai, bi)
     nz = a[a != 0]
     vi = f.vinv(nz)
     for i in range(len(nz)):
@@ -191,6 +192,57 @@ def test_solve_right(f):
     assert not ok
 
 
+def solve_right_oracle(f, A, b):
+    """The elimination of [A | b] itself, carrying every column of b through
+    every pivot: the reference for the factor-once solve_right."""
+    A = np.asarray(A, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    single = b.ndim == 1
+    b2 = b[:, None] if single else b
+    ncols = A.shape[1]
+    aug = np.concatenate([A, b2], axis=1)
+    pivots = gf._eliminate(f, aug, ncols)
+    zero_rows = ~np.any(aug[:, :ncols] != 0, axis=1)
+    if zero_rows.any():
+        ok = ~np.any(aug[zero_rows][:, ncols:] != 0, axis=0)
+    else:
+        ok = np.ones(b2.shape[1], dtype=bool)
+    x = f.zeros((ncols, b2.shape[1]))
+    for row, col in enumerate(pivots):
+        x[col] = aug[row, ncols:]
+    if single:
+        return x[:, 0], bool(ok[0])
+    return x, ok
+
+
+@pytest.mark.parametrize("f", [gf.field(13), gf.field(3, 2, (1, 0, 1))])
+def test_solve_right_matches_oracle(f):
+    # wide right-hand sides (columns >> rows), rank-deficient A, and columns
+    # mixing consistent (b in the column space) and inconsistent ones
+    rng = np.random.default_rng(19)
+    seen_ok = seen_bad = 0
+    for trial in range(60):
+        rows = int(rng.integers(1, 9))
+        cols = int(rng.integers(1, 9))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        A = gf.mat_mul(f, f.random(rng, (rows, rank)), f.random(rng, (rank, cols)))
+        width = int(rng.integers(1, 300)) if trial % 2 else int(rng.integers(1, 4))
+        b = gf.mat_mul(f, A, f.random(rng, (cols, width)))
+        off = rng.random(width) < 0.5
+        b[:, off] = f.vadd(b[:, off], f.random(rng, (rows, int(off.sum()))))
+        x, ok = gf.solve_right(f, A, b)
+        want_x, want_ok = solve_right_oracle(f, A, b)
+        assert x.tobytes() == want_x.tobytes() and ok.tobytes() == want_ok.tobytes()
+        assert ok.dtype == want_ok.dtype and x.shape == want_x.shape
+        assert np.array_equal(gf.mat_mul(f, A, x)[:, ok], b[:, ok])
+        seen_ok += int(ok.sum())
+        seen_bad += int((~ok).sum())
+        x1, ok1 = gf.solve_right(f, A, b[:, 0])
+        want_x1, want_ok1 = solve_right_oracle(f, A, b[:, 0])
+        assert x1.tobytes() == want_x1.tobytes() and ok1 is want_ok1
+    assert seen_ok > 100 and seen_bad > 100
+
+
 @pytest.mark.parametrize("f", [gf.field(5), gf.field(2, 2)])
 def test_null_space(f):
     rng = np.random.default_rng(9)
@@ -237,8 +289,8 @@ def test_mat_mul_agrees_across_backends():
 
 def test_frobenius_is_additive():
     f = gf.field(2, 4)
-    for a in f.elements():
-        for b in f.elements():
+    for a in elements(f):
+        for b in elements(f):
             assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))
     arr = np.arange(16, dtype=np.int64)
     assert np.array_equal(f.vfrob(arr), np.array([f.frob(int(v)) for v in arr]))

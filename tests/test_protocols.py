@@ -14,6 +14,7 @@ from psmt.channels import (
     PassiveAdversary,
     TargetedSyndromeAdversary,
     builtin_adversaries,
+    view_bytes,
 )
 from psmt.protocols import (
     AuditBudgetExceeded,
@@ -307,6 +308,31 @@ def test_privacy_audit_catches_leak():
     # of the views 04 (secret 0) and 03 (secret 1), the smaller in byte order
     assert rep.detail == ("view multisets differ between secrets 0 and 1; "
                           "distinguishing view (hex) 03")
+
+
+def test_view_key_is_built_on_access(monkeypatch):
+    # no run builds its adversary's view key; reading it builds it once, from
+    # the run's own session
+    calls = []
+    original = ChannelSession.view_key
+
+    def counted(session):
+        calls.append(session)
+        return original(session)
+
+    monkeypatch.setattr(ChannelSession, "view_key", counted)
+    p = params_for(7, l=3)
+    for runner in (run_basic, run_improved):
+        rng = np.random.default_rng(3)
+        adv = TargetedSyndromeAdversary((1, 4, 5), p.field)
+        res = runner(p, p.field.random(rng, 3), adversary=adv, rng=rng)
+        assert calls == []
+        key = res.view_key
+        assert res.view_key is key and len(calls) == 1
+        assert key == view_bytes(calls[0].eve_view) and len(key) > 0
+        calls.clear()
+        quiet = runner(p, p.field.random(rng, 3), rng=rng)
+        assert quiet.view_key == b"" and calls == []
 
 
 def test_audit_adversary_set():

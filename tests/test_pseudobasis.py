@@ -5,6 +5,7 @@ import pytest
 
 from psmt import gf, mds, pseudobasis
 from psmt.channels import ProtocolViolation
+from helpers import contains
 
 
 def span_rank(f, rows):
@@ -37,7 +38,7 @@ def test_all_codewords_give_empty_pseudo_basis():
 def test_dependent_error_directions_keep_first_word_only():
     code = mds.ReedSolomonCode(5, 3, gf.field(7))
     e = np.array([1, 0, 0, 0, 0], dtype=np.int64)
-    assert not code.contains(e)
+    assert not contains(code, e)
     x = code.encode([[1, 2, 3], [4, 5, 6]])
     words = np.stack([code.field.vadd(x[0], e),
                       code.field.vadd(x[1], code.field.vmul(np.int64(2), e))])
@@ -279,11 +280,61 @@ def test_rounds_match_greedy_scan(q):
             errors = gf.mat_mul(f, coeffs, dirs)
         errors[rng.random(num) < 0.3] = 0
         words = f.vadd(code.random_codeword(rng, num), errors)
-        pb = pseudobasis.compute_pseudo_basis(code, words)
-        kept, want_words, want_syns = greedy_pseudo_basis(code, words)
-        assert pb.indices == kept
-        assert np.array_equal(pb.words, want_words)
-        assert np.array_equal(pb.syndromes, want_syns)
+        _assert_greedy(code, words)
+    # the syndromes go in windows of 2 (n - k) = 8 rows: long runs of clean
+    # or dependent rows between independent ones, and bases that fill on the
+    # last or the first row of a window
+    layouts = [
+        {0: "new", 13: "new", 30: "new", 39: "new"},
+        {2: "new", 9: "new", 21: "new", 38: "new"} | {i: "dep" for i in range(3, 38, 2)},
+        {1: "new", 3: "new", 5: "new", 7: "new"} | {i: "dep" for i in (0, 2, 4, 6)},
+        {0: "new", 8: "new", 15: "new", 23: "new"} | {i: "dep" for i in range(9, 15)},
+        {4: "new", 7: "dep", 19: "new", 24: "new", 33: "dep"},
+    ]
+    for layout in layouts:
+        num = 45
+        chans = rng.choice(n, size=t, replace=False)
+        dirs = f.zeros((t, n))
+        dirs[:, chans] = f.random(rng, (t, t))
+        errors = f.zeros((num, n))
+        used = 0
+        for i, kind in sorted(layout.items()):
+            if kind == "new":
+                errors[i] = dirs[used]
+                used += 1
+            elif used:
+                errors[i] = gf.mat_mul(f, f.random(rng, (1, used)), dirs[:used])[0]
+        words = f.vadd(code.random_codeword(rng, num), errors)
+        pb = _assert_greedy(code, words)
+        assert pb.indices == [i for i, kind in sorted(layout.items()) if kind == "new"]
+
+
+@pytest.mark.parametrize("w", [0, 1, 12, 23])
+def test_n47_matches_greedy_scan(w):
+    # the benchmark's basic size: n = 47 over F_53, t + l = 23 + 47^2 words,
+    # errors from w directions on rare words, so the picks cross many windows
+    f = gf.field(53)
+    n, t = 47, 23
+    code = mds.ReedSolomonCode(n, t + 1, f)
+    rng = np.random.default_rng(47 + w)
+    num = t + n * n
+    chans = rng.choice(n, size=t, replace=False)
+    dirs = f.zeros((w, n))
+    dirs[:, chans] = f.random(rng, (w, t))
+    errors = gf.mat_mul(f, f.random(rng, (num, w)), dirs)
+    errors[rng.random(num) < 0.97] = 0
+    words = f.vadd(code.random_codeword(rng, num), errors)
+    pb = _assert_greedy(code, words)
+    assert len(pb) == w
+
+
+def _assert_greedy(code, words):
+    pb = pseudobasis.compute_pseudo_basis(code, words)
+    kept, want_words, want_syns = greedy_pseudo_basis(code, words)
+    assert pb.indices == kept
+    assert np.array_equal(pb.words, want_words)
+    assert np.array_equal(pb.syndromes, want_syns)
+    return pb
 
 
 def test_recover_refuses_error_at_distance():

@@ -190,6 +190,18 @@ def test_large_field_caps():
         RankParams(3, 1, 1, f)
 
 
+def test_decode_cap_messages():
+    # F_{5^7}: q = 78,125, just past the 2^16 cap, degree 7 >= n + 1
+    f = gf.field(5, 7)
+    want = ("field order 78125 exceeds 65536, the cap on the rank broadcast's "
+            "q x n candidate table and (rows, q) vote counts")
+    with pytest.raises(ValueError) as built:
+        rank_broadcast_code(3, f)
+    with pytest.raises(ValueError) as params:
+        RankParams(3, 1, 1, f)
+    assert str(built.value) == str(params.value) == want
+
+
 def test_rank_params_validation():
     f = gf.field(2, 4)
     with pytest.raises(ValueError):
