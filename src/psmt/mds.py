@@ -120,12 +120,17 @@ class ReedSolomonCode:
             return X, E, ok
         S = syn[todo]
         nsyn = s + 2 * radius
-        # erasure locator Gamma(x) = prod (1 - p_j x) and modified syndromes
-        gamma = f.zeros((1, s + 1))
-        gamma[0, 0] = 1
+        # erasure locator Gamma(x) = prod (1 - p_j x), the same for every
+        # word, as a Toeplitz matrix: row i holds x^i Gamma(x), so a row of
+        # coefficients times it is that polynomial times Gamma
+        gamma = f.zeros(s + 1)
+        gamma[0] = 1
         for point in self.points[erased]:
-            gamma[:, 1:] = f.vsub(gamma[:, 1:], f.vmul(point, gamma[:, :-1]))
-        xi = _poly_mul(f, gamma, S, nsyn)
+            gamma[1:] = f.vsub(gamma[1:], f.vmul(point, gamma[:-1]))
+        lag = np.arange(nsyn + 1)[None, :] - np.arange(nsyn + 1)[:, None]
+        toep = np.where((lag >= 0) & (lag <= s), gamma.take(lag, mode="clip"), 0)
+        # modified syndromes Xi = Gamma * S mod x^nsyn
+        xi = gf.mat_mul(f, S[:, :nsyn], toep[:nsyn, :nsyn])
         lam, deg = _berlekamp_massey(f, xi[:, s:])
         lam = lam[:, : radius + 1]
         # Chien search over the positions that are not erased
@@ -133,7 +138,7 @@ class ReedSolomonCode:
         # Forney, with errata locator Psi = Lambda * Gamma and evaluator
         # Omega = Psi * S mod x^nsyn: on the errata,
         # e_i = -p_i * Omega(1/p_i) / (Psi'(1/p_i) * dual_mult[i])
-        psi = _poly_mul(f, lam, gamma, radius + s + 1)
+        psi = gf.mat_mul(f, lam, toep[: radius + 1, : radius + s + 1])
         omega = _poly_mul(f, lam, xi, nsyn)
         dpsi = f.vmul(psi[:, 1:], self.deriv_mult[None, : radius + s])
         num = gf.mat_mul(f, omega, self.inv_pow[:, :nsyn].T)

@@ -52,22 +52,24 @@ def compute_pseudo_basis(code, words):
     """Greedy scan in input order, keeping each word whose syndrome is outside
     the span of the syndromes kept so far.  At most n - k words are kept.
 
-    Takes the syndromes in windows of 2 (n - k): each window is reduced
-    against the reduced row echelon basis of the kept ones with one matrix
-    product, and each word kept inside it reduces the rest of the window
-    with one rank-1 update.  A reduced syndrome is zero exactly when it is in
-    the span, so the picks are the greedy scan's, and once n - k words are
-    kept no later syndrome is reduced."""
+    Takes the nonzero syndromes in windows of 2 (n - k); a zero syndrome
+    is in every span, so it is never kept.  Each window is reduced against
+    the reduced row echelon basis of the kept ones with one matrix product,
+    and each word kept inside it reduces the rest of the window with one
+    rank-1 update.  A reduced syndrome is zero exactly when it is in the
+    span, so the picks are the greedy scan's, and once n - k words are kept
+    no later syndrome is reduced."""
     f = code.field
     words = np.asarray(words, dtype=np.int64)
     syns = code.syndrome(words)
     nsyn = syns.shape[1]
+    nonzero = syns.any(axis=1).nonzero()[0]
     kept = []
     basis = f.zeros((nsyn, nsyn))  # rows 0 .. len(kept)-1 are in use
     pivots = []
     start = 0
-    while start < len(syns) and len(pivots) < nsyn:
-        rest = syns[start:start + 2 * nsyn]
+    while start < len(nonzero) and len(pivots) < nsyn:
+        rest = syns[nonzero[start:start + 2 * nsyn]]
         if pivots:
             rest = f.vsub(rest, gf.mat_mul(f, rest[:, pivots], basis[:len(pivots)]))
         row = None
@@ -86,7 +88,7 @@ def compute_pseudo_basis(code, words):
                 basis[:w] = f.vsub(basis[:w], f.vmul(basis[:w, pc:pc + 1], row))
             basis[w] = row
             pivots.append(pc)
-            kept.append(start + i)
+            kept.append(int(nonzero[start + i]))
             start += i + 1
             rest = rest[i + 1:]
         start += len(rest)

@@ -318,3 +318,119 @@ def test_large_prime_sums_reduce_between_terms():
         for j in range(4):
             want = sum(int(A[i, k]) * int(B[k, j]) for k in range(9)) % f.q
             assert int(got[i, j]) == want and int(dots[i, j]) == want
+
+
+def mat_mul_oracle(f, A, B):
+    """The int64 product over chunks of f.chunk columns with `%` between
+    them, for a prime field: the reference for both mat_mul paths."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    c = f.chunk
+    out = (A[:, :c] @ B[:c]) % f.p
+    for i in range(c, A.shape[1], c):
+        out = (out + (A[:, i : i + c] @ B[i : i + c]) % f.p) % f.p
+    return out
+
+
+def _edge_entries(f, rng, shape):
+    """Entries drawn from 0, 1, p-2 (odd), p-1, their negatives and uniform
+    elements, so every |x| < p."""
+    p = f.p
+    pool = np.array([0, 1, p - 2, p - 1, -1, -(p - 2), -(p - 1)], dtype=np.int64)
+    pick = rng.integers(0, len(pool) + 1, size=shape)
+    out = f.random(rng, shape)
+    fixed = pick < len(pool)
+    out[fixed] = pool[pick[fixed]]
+    return out
+
+
+# (rows, K, cols): multiply-adds on both sides of 4,096, with K on both sides
+# of the exactness bound of the two large primes below
+_SHAPES = [(63, 1, 65), (64, 1, 64), (23, 2, 89), (32, 2, 64), (35, 3, 39),
+           (2, 3, 683), (300, 3, 40), (40, 47, 24), (1, 47, 3)]
+
+
+@pytest.mark.parametrize("p,fchunk", [(29, 2**53 // 28**2), (67108859, 2),
+                                      (94906249, 1), (2147483647, 0)])
+def test_mat_mul_matches_int64_oracle(p, fchunk):
+    f = gf.field(p)
+    assert f.fchunk == fchunk
+    rng = np.random.default_rng(p % 1000)
+    for rows, k, cols in _SHAPES:
+        A = _edge_entries(f, rng, (rows, k))
+        B = _edge_entries(f, rng, (k, cols))
+        # out[0, 0] is (p-2) ((p-2) + (k-1)(p-1)): odd, and above 2^53
+        # once k exceeds the bound, so a float64 sum cannot hold it
+        A[0] = p - 1
+        A[0, 0] = p - 2
+        B[:, 0] = p - 2
+        got = gf.mat_mul(f, A, B)
+        want = mat_mul_oracle(f, A, B)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_mat_mul_takes_float_path_from_threshold(monkeypatch):
+    # with the exactness bound raised past the truth, the float64 path
+    # shows itself by rounding: from 4,096 multiply-adds on, and not below
+    f = gf.field(67108859)
+    monkeypatch.setattr(f, "fchunk", 3)
+    p = f.p
+    for rows, cols, exact in [(35, 39, True), (2, 683, False)]:
+        A = np.full((rows, 3), p - 1, dtype=np.int64)
+        A[:, 0] = p - 2
+        B = np.full((3, cols), p - 2, dtype=np.int64)
+        same = gf.mat_mul(f, A, B).tobytes() == mat_mul_oracle(f, A, B).tobytes()
+        assert same == exact
+
+
+@pytest.mark.parametrize("p", [2, 5, 29, 67108859, 2147483647])
+@pytest.mark.parametrize("size", [1, 1023, 1024, 5000])
+def test_vector_ops_match_remainder_oracle(p, size):
+    # the v-ops against their bodies with one `%`, on both sides of the
+    # 1,024 elements where the reduction changes form, with negative inputs
+    f = gf.field(p)
+    rng = np.random.default_rng([p % 1000, size])
+    a = _edge_entries(f, rng, (size,))
+    b = _edge_entries(f, rng, (size,))
+    cases = [
+        (f.vadd(a, b), (a + b) % p),
+        (f.vsub(a, b), (a - b) % p),
+        (f.vmul(a, b), (a * b) % p),
+        (f.vneg(a), (-a) % p),
+    ]
+    for got, want in cases:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # sums of products, the largest values the field's kernels reduce
+    top = f.chunk * (p - 1) ** 2
+    big = rng.integers(-top, top, size=size, dtype=np.int64, endpoint=True)
+    big[:2] = [-top, top][:size]
+    assert gf._mod(big, p).tobytes() == (big % p).tobytes()
+    # vdot on rows of three, and along one long row
+    A = _edge_entries(f, rng, (size, 3))
+    B = _edge_entries(f, rng, (size, 3))
+    want = [sum(int(x) * int(y) for x, y in zip(r, s)) % p for r, s in zip(A, B)]
+    assert f.vdot(A, B).tolist() == want
+    assert int(f.vdot(a, b)) == sum(int(x) * int(y) for x, y in zip(a, b)) % p
+
+
+def test_reduction_form_switches_at_1024_elements():
+    # the vectorised floor division takes over from `%` at 1,024 elements
+    f = gf.field(29)
+    seen = []
+
+    class Spy(np.ndarray):
+        def __mod__(self, other):
+            seen.append("%")
+            return super().__mod__(other)
+
+        def __floordiv__(self, other):
+            seen.append("//")
+            return super().__floordiv__(other)
+
+    for size, form in [(1023, "%"), (1024, "//")]:
+        a = np.arange(size, dtype=np.int64).view(Spy)
+        for op in (lambda: f.vadd(a, a), lambda: f.vsub(a, a),
+                   lambda: f.vmul(a, a), lambda: f.vneg(a)):
+            seen.clear()
+            op()
+            assert seen == [form]

@@ -292,3 +292,38 @@ def test_decoder_refuses_too_many_erasures(erasures):
     code = mds.ReedSolomonCode(5, 3, gf.field(7))
     with pytest.raises(ValueError):
         code.unique_decode_batch(np.zeros((1, 5), dtype=np.int64), erasures=erasures)
+
+
+@pytest.mark.parametrize("k", [4, 7, 12])
+def test_batch_decode_matches_row_by_row_at_benchmark_sizes(k):
+    # n = 23 over F_29, the improved benchmark's code size: over a thousand
+    # words per call, so the batch runs the float64 products and the
+    # floor-division reduction, while each row alone runs the small paths
+    f = gf.field(29)
+    n = 23
+    code = mds.ReedSolomonCode(n, k, f)
+    rng = np.random.default_rng([n, k])
+    for s in (0, 4, 11):
+        erased = sorted(int(c) for c in rng.choice(n, size=s, replace=False))
+        live = [i for i in range(n) if i not in erased]
+        radius = (n - k - s) // 2
+        per = -(-1000 // (radius + 2))
+        blocks = []
+        for weight in range(radius + 2):
+            words = code.random_codeword(rng, per)
+            for row in words:
+                pos = rng.choice(live, size=weight, replace=False)
+                row[pos] = f.vadd(row[pos], 1 + rng.integers(0, f.q - 1, size=weight))
+            blocks.append(words)
+        Y = np.concatenate(blocks)
+        Y[:, erased] = f.random(rng, (len(Y), s))
+        X, E, ok = code.unique_decode_batch(Y, erasures=erased)
+        for i in range(len(Y)):
+            x1, e1, ok1 = code.unique_decode_batch(Y[i:i + 1], erasures=erased)
+            assert ok1[0] == ok[i]
+            assert x1[0].tobytes() == X[i].tobytes() and e1[0].tobytes() == E[i].tobytes()
+        assert ok[: per * (radius + 1)].all()
+        # with every parity symbol erased, every word decodes
+        assert ok.all() == (s == n - k)
+        assert not np.any(code.syndrome(X[ok]))
+        assert np.array_equal(f.vadd(X, E), Y)

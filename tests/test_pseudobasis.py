@@ -281,15 +281,17 @@ def test_rounds_match_greedy_scan(q):
         errors[rng.random(num) < 0.3] = 0
         words = f.vadd(code.random_codeword(rng, num), errors)
         _assert_greedy(code, words)
-    # the syndromes go in windows of 2 (n - k) = 8 rows: long runs of clean
-    # or dependent rows between independent ones, and bases that fill on the
-    # last or the first row of a window
+    # the nonzero syndromes go in windows of 2 (n - k) = 8 rows: long runs
+    # of clean or dependent rows between independent ones, and bases that
+    # fill on the last or the first row of a window
     layouts = [
         {0: "new", 13: "new", 30: "new", 39: "new"},
         {2: "new", 9: "new", 21: "new", 38: "new"} | {i: "dep" for i in range(3, 38, 2)},
         {1: "new", 3: "new", 5: "new", 7: "new"} | {i: "dep" for i in (0, 2, 4, 6)},
         {0: "new", 8: "new", 15: "new", 23: "new"} | {i: "dep" for i in range(9, 15)},
         {4: "new", 7: "dep", 19: "new", 24: "new", 33: "dep"},
+        {},  # every syndrome zero: nothing to scan
+        {44: "new"},  # one nonzero syndrome, after five windows' worth of zeros
     ]
     for layout in layouts:
         num = 45
