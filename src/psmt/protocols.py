@@ -7,14 +7,20 @@ secret masked with h . y, where (code, h) is a privacy pair, so t taps reveal
 nothing about the mask.  Bob recovers each masked word's error from the
 published data, rebuilds Alice's received word, and strips the mask.
 
-run_basic broadcasts the pseudo-basis words plainly (w * n^2 symbols).  It
-is one skeleton, _prefix (round one, the pseudo-basis phase) then _deliver
-(one broadcast of a (syndrome || masked secret) row per secret), over the
-codes and broadcast of its context; rankmetric.run_rank_protocol runs the
-same skeleton with Gabidulin codes and the rank broadcast.
-run_improved sends a "special word" exposing many corrupted channels first
-and then uses generalized broadcast, capping the phase at 4n^2 symbols and
-the total at 5n + O(n^2 / l) per secret.
+Every protocol runs on one skeleton, _run: _prefix (round one, the
+pseudo-basis phase, the masked phase's secret-independent part) then
+_deliver (the one broadcast that depends on the secrets).  A Protocol
+description holds the rest: the round-one words beyond t+l, a pseudo-basis
+pair (Alice's sender, Bob's receiver) and the masked phase (an optional
+prefix step, payload, unmask).  The three pairs open alike, with the count
+and indices: plain (the words in full, w n^2 symbols), packed (a special
+word exposing corrupted channels, then the words in generalized broadcast,
+at most 4n^2 symbols) and the incremental warm-up.  BASIC is plain with one
+(syndrome || masked secret) row per secret, run by run_basic and, over
+Gabidulin codes, rankmetric.run_rank_protocol.  IMPROVED, run by
+run_improved, adds one word, the packed pair, packed syndromes and a double
+mask: 5n + O(n^2 / l) symbols per secret.  A runner's protocol attribute
+names its description; privacy_audit reads the word count there.
 """
 
 from collections import namedtuple
@@ -135,21 +141,10 @@ def _decode_indices(symbols, width, q):
 
 
 def _masked_indices(num_words, pb_indices, l):
-    """First l word indices outside the pseudo-basis, in order."""
+    """First l word indices outside the pseudo-basis, in order; there are
+    always l, since a pseudo-basis has at most t of the t+l or more words."""
     inside = set(pb_indices)
-    out = [i for i in range(num_words) if i not in inside][:l]
-    if len(out) < l:
-        raise ProtocolViolation("pseudo-basis too large to leave %d masked words" % l)
-    return out
-
-
-def _check_pseudo_basis(w, t, num_words, indices=None):
-    """Refuses an announced pseudo-basis no in-model run can produce: more
-    than t words, or (once decoded) indices that repeat or name no word."""
-    if w > min(t, num_words):
-        raise ProtocolViolation("announced pseudo-basis larger than t")
-    if indices is not None and (len(set(indices)) != w or max(indices) >= num_words):
-        raise ProtocolViolation("pseudo-basis indices out of range")
+    return [i for i in range(num_words) if i not in inside][:l]
 
 
 def _check_secrets(params, secrets):
@@ -174,101 +169,68 @@ def _round_one_words(code, num_words, rng, bob_words):
     return X
 
 
-# What _prefix leaves for the masked phase: Alice's syndromes and masks of her
-# masked words, Bob's codewords sent at his masked indices and his error basis.
-_Prefix = namedtuple("_Prefix", "syndromes mask originals eb stats")
+def _publish(session, arrays, phase):
+    """Alice's round-two transmission, public to the adversary."""
+    return session.transmit(ALICE_TO_BOB, arrays, phase, public=True)
 
 
-def _prefix(ctx, session, X):
-    """Round one, the pseudo-basis phase and Bob's error basis.  Nothing here
-    depends on the secrets, so an audit can run it once for many of them."""
-    n, t, l, f = ctx.params.n, ctx.params.t, ctx.params.l, ctx.params.field
-    code = ctx.code
-    num_words = t + l
-    width = _index_width(num_words, f.q)
+# The pseudo-basis pairs.  Alice's sender (ctx, session, pb, width) publishes
+# her pseudo-basis and returns what was delivered; Bob's receiver (ctx,
+# delivered, originals, width) turns that into his error basis and the run's
+# pseudo-basis stats.  width is the number of base-q digits per word index.
 
-    # round 1: Bob -> Alice
-    Y = session.transmit(BOB_TO_ALICE, X, PHASE_ROUND1)
-
-    # round 2 opens with Alice's pseudo-basis, broadcast in full
-    pb = pseudobasis.compute_pseudo_basis(code, Y)
-    w = len(pb)
-    masked = _masked_indices(num_words, pb.indices, l)
-    got_marker = session.transmit(
-        ALICE_TO_BOB, ctx.broadcast_encode([w]), PHASE_PB_OVERHEAD, public=True)
-    if w:
-        got_idx = session.transmit(
-            ALICE_TO_BOB, ctx.broadcast_encode(_encode_indices(pb.indices, width, f.q)),
-            PHASE_PB_OVERHEAD, public=True)
-        got_words = session.transmit(
-            ALICE_TO_BOB, ctx.broadcast_encode(pb.words.reshape(-1)),
-            PHASE_PSEUDO_BASIS, public=True)
-
-    # Bob learns the errors on the pseudo-basis words
-    w_bob = int(ctx.broadcast_decode(got_marker)[0])
-    _check_pseudo_basis(w_bob, t, num_words)
-    if w_bob:
-        idx_bob = _decode_indices(ctx.broadcast_decode(got_idx), width, f.q)
-        _check_pseudo_basis(w_bob, t, num_words, idx_bob)
-        words_bob = ctx.broadcast_decode(got_words).reshape(w_bob, n)
-        pb_bob = pseudobasis.PseudoBasis(idx_bob, words_bob, code.syndrome(words_bob))
-        eb = pseudobasis.extract_error_basis(code, pb_bob, X)
-    else:
-        idx_bob = []
-        eb = pseudobasis.empty_error_basis(code)
-    masked_bob = _masked_indices(num_words, idx_bob, l)
-    stats = {"w": w, "pb_indices": list(pb.indices), "masked_indices": masked}
-    return _Prefix(code.syndrome(Y[masked]), ctx.pair.mask(Y[masked]), X[masked_bob],
-                   eb, stats)
+def _announce(ctx, session, pb, width, extra=None):
+    """Every pair's opening: the count w, then, if w > 0, the w indices and
+    any extra symbols, all in plain broadcast."""
+    delivered = {"marker": _publish(session, ctx.broadcast_encode([len(pb)]),
+                                    PHASE_PB_OVERHEAD)}
+    if len(pb):
+        head = _encode_indices(pb.indices, width, ctx.params.field.q)
+        if extra is not None:
+            head = np.concatenate([head, extra])
+        delivered["head"] = _publish(session, ctx.broadcast_encode(head), PHASE_PB_OVERHEAD)
+    return delivered
 
 
-def _payload(ctx, state, secrets):
-    """Alice's masked-phase symbols for secrets of shape (..., l): per secret
-    a (syndrome || secret + mask) row of t+1 symbols."""
-    t = ctx.params.t
-    z = ctx.params.field.vadd(secrets, state.mask)
-    rows = np.empty(z.shape + (t + 1,), dtype=np.int64)
-    rows[..., :t] = state.syndromes
-    rows[..., t] = z
-    return rows.reshape(-1)
+def _read_announcement(ctx, delivered, num_words, width):
+    """Bob's side of _announce: the indices and the extra symbols.  Refuses
+    what no in-model run can produce: more than t words, or indices that
+    repeat or name no word."""
+    w = int(ctx.broadcast_decode(delivered["marker"])[0])
+    if w > min(ctx.params.t, num_words):
+        raise ProtocolViolation("announced pseudo-basis larger than t")
+    if not w:
+        return [], None
+    head = ctx.broadcast_decode(delivered["head"])
+    idx = _decode_indices(head[:w * width], width, ctx.params.field.q)
+    if len(set(idx)) != w or max(idx) >= num_words:
+        raise ProtocolViolation("pseudo-basis indices out of range")
+    return idx, head[w * width:]
 
 
-def _unmask(ctx, state, symbols):
-    """Bob's side of _payload, for one or more secret vectors: recovers each
-    masked word's error from its syndrome, rebuilds Alice's received word and
-    strips the mask.  Returns the secrets, one row per secret vector."""
-    n, t, l, f = ctx.params.n, ctx.params.t, ctx.params.l, ctx.params.field
-    rows = symbols.reshape(-1, l, t + 1)
-    errors = pseudobasis.recover_error(ctx.code, state.eb, rows[..., :t].reshape(-1, t))
-    y = f.vadd(state.originals, errors.reshape(-1, l, n))
-    return f.vsub(rows[..., t], ctx.pair.mask(y))
+def _error_basis(code, idx, words, originals):
+    """Bob's error basis from the pseudo-basis words he received."""
+    pb = pseudobasis.PseudoBasis(idx, words, code.syndrome(words))
+    return pseudobasis.extract_error_basis(code, pb, originals)
 
 
-def _deliver(ctx, session, state, secrets):
-    """The masked phase: one broadcast carrying the l payload rows, the only
-    transmission whose content depends on the secrets.  Returns what Bob
-    recovers."""
-    got = session.transmit(ALICE_TO_BOB, ctx.broadcast_encode(_payload(ctx, state, secrets)),
-                           PHASE_MASKED, public=True)
-    return _unmask(ctx, state, ctx.broadcast_decode(got))[0]
+def send_plain(ctx, session, pb, width):
+    """The basic pair's sender: the words in plain broadcast, w n^2 symbols."""
+    delivered = _announce(ctx, session, pb, width)
+    if len(pb):
+        delivered["words"] = _publish(session, ctx.broadcast_encode(pb.words.reshape(-1)),
+                                      PHASE_PSEUDO_BASIS)
+    return delivered
 
 
-def _run(ctx, secrets, adversary, rng, bob_words, record_transcript):
-    """The two-round skeleton over ctx's code, privacy pair and broadcast."""
-    params = ctx.params
-    secrets = _check_secrets(params, secrets)
-    session = ChannelSession(params.n, params.t, params.field, adversary, record_transcript)
-    X = _round_one_words(ctx.code, params.t + params.l, rng, bob_words)
-    state = _prefix(ctx, session, X)
-    out = _deliver(ctx, session, state, secrets)
-    return RunResult._from_session(session, out, state.stats)
-
-
-def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
-              context=None, record_transcript=False):
-    """The plain two-round protocol: pseudo-basis words broadcast in full."""
-    ctx = context if context is not None else ProtocolContext(params)
-    return _run(ctx, secrets, adversary, rng, bob_words, record_transcript)
+def receive_plain(ctx, delivered, originals, width):
+    """Bob decodes the broadcast words."""
+    idx, _ = _read_announcement(ctx, delivered, originals.shape[0], width)
+    stats = {"w": len(idx), "pb_indices": idx}
+    if not idx:
+        return pseudobasis.empty_error_basis(ctx.code), stats
+    words = ctx.broadcast_decode(delivered["words"]).reshape(len(idx), ctx.params.n)
+    return _error_basis(ctx.code, idx, words, originals), stats
 
 
 def special_word_search(code, pb, t):
@@ -314,111 +276,208 @@ def special_word_search(code, pb, t):
     return acc_word, mu
 
 
-def send_pseudo_basis_fast(ctx, session, pb, width):
-    """Alice's side of the improved pseudo-basis phase.
-
-    Broadcasts the count, then (if nonempty) indices and combination
-    coefficients, the special word in plain broadcast, and the words packed
-    m-fold with m = min(w, floor(t/3)).  Returns the delivered arrays for the
-    receiver plus the special word data."""
+def send_packed(ctx, session, pb, width):
+    """The improved pair's sender: the combination coefficients after the
+    indices, the special word in plain broadcast, then the words packed
+    m-fold with m = min(w, floor(t/3)), each costing ceil(n / (m+1))
+    arrays."""
     n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
     w = len(pb)
-    out = {"w": w}
-    out["marker"] = session.transmit(
-        ALICE_TO_BOB, ctx.broadcast_encode([w]), PHASE_PB_OVERHEAD, public=True)
-    if w == 0:
-        return out
+    if not w:
+        return _announce(ctx, session, pb, width)
     special, mu = special_word_search(ctx.code, pb, t)
+    delivered = _announce(ctx, session, pb, width, mu)
+    delivered["special"] = _publish(session, ctx.broadcast_encode(special), PHASE_PSEUDO_BASIS)
     m = min(w, t // 3)
-    head = np.concatenate([_encode_indices(pb.indices, width, f.q), mu])
-    out["head"] = session.transmit(
-        ALICE_TO_BOB, ctx.broadcast_encode(head), PHASE_PB_OVERHEAD, public=True)
-    out["special"] = session.transmit(
-        ALICE_TO_BOB, ctx.broadcast_encode(special), PHASE_PSEUDO_BASIS, public=True)
-    # chunk per word: each one costs exactly ceil(n / (m+1)) arrays
     padded = f.zeros((w, -(-n // (m + 1)) * (m + 1)))
     padded[:, :n] = pb.words
-    out["blocks"] = session.transmit(
-        ALICE_TO_BOB, ctx.bcast_code(m).encode(padded.reshape(-1, m + 1)),
-        PHASE_PSEUDO_BASIS, public=True)
-    out["m"] = m
-    return out
+    delivered["blocks"] = _publish(
+        session, ctx.bcast_code(m).encode(padded.reshape(-1, m + 1)), PHASE_PSEUDO_BASIS)
+    return delivered
 
 
-def receive_pseudo_basis_fast(ctx, delivered, originals, width):
-    """Bob's side: decode the special word, learn corrupted channels from it,
-    then decode the packed words.  Returns (error basis, stats)."""
+def receive_packed(ctx, delivered, originals, width):
+    """Bob decodes the special word, takes the channels it exposes as
+    erasures, and decodes the packed words."""
     n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
-    code = ctx.code
-    num_words = originals.shape[0]
-    w = int(ctx.broadcast_decode(delivered["marker"])[0])
-    _check_pseudo_basis(w, t, num_words)
-    if w == 0:
-        return pseudobasis.empty_error_basis(code), {"w": 0, "special_weight": None,
-                                                     "pb_indices": []}
-    head = ctx.broadcast_decode(delivered["head"])
-    idx = _decode_indices(head[: w * width], width, f.q)
-    mu = head[w * width:]
-    _check_pseudo_basis(w, t, num_words, idx)
+    idx, mu = _read_announcement(ctx, delivered, originals.shape[0], width)
+    w = len(idx)
+    if not w:
+        return pseudobasis.empty_error_basis(ctx.code), {"w": 0, "special_weight": None,
+                                                         "pb_indices": []}
     special = ctx.broadcast_decode(delivered["special"])
     expected = gf.mat_mul(f, mu[None, :], originals[idx])[0]
-    e_special = f.vsub(special, expected)
-    bad = np.nonzero(e_special)[0]
-    m = min(w, t // 3)
+    bad = np.nonzero(f.vsub(special, expected))[0]
     if 3 * len(bad) < min(3 * w, t):
         raise ProtocolViolation("special word exposes too few corrupted channels")
     if len(bad) > t:
         raise ProtocolViolation("special word exposes more than t channels")
+    m = min(w, t // 3)
     flat = broadcast.gen_broadcast_decode(ctx.bcast_code(m), t, delivered["blocks"], bad)
-    per_word = -(-n // (m + 1)) * (m + 1)
-    words = flat.reshape(w, per_word)[:, :n]
-    pb = pseudobasis.PseudoBasis(idx, words, code.syndrome(words))
-    eb = pseudobasis.extract_error_basis(code, pb, originals)
-    stats = {"w": w, "special_weight": int(len(bad)), "pb_indices": idx}
-    return eb, stats
+    words = flat.reshape(w, -(-n // (m + 1)) * (m + 1))[:, :n]
+    stats = {"w": w, "special_weight": len(bad), "pb_indices": idx}
+    return _error_basis(ctx.code, idx, words, originals), stats
 
 
-def send_masked_secrets(ctx, session, secrets, Y, masked):
-    """Alice's per-secret broadcasts: the syndrome of the carrying word packed
-    ceil(t/2)-fold, then the two masked values z1 (against her received word)
-    and z2 (against her unique-decode of it, or 0 when that failed)."""
+def send_incremental(ctx, session, pb, width):
+    """A warm-up sender: the i-th word (1-based) goes out packed (i-1)-fold,
+    costing ceil(n/i) arrays, since Bob will know i-1 corrupted channels by
+    then."""
+    delivered = _announce(ctx, session, pb, width)
+    delivered["blocks"] = [
+        _publish(session, broadcast.gen_broadcast_encode(ctx.bcast_code(i), word),
+                 PHASE_PSEUDO_BASIS)
+        for i, word in enumerate(pb.words)]
+    return delivered
+
+
+def receive_incremental(ctx, delivered, originals, width):
+    """Bob decodes word i erasing the channels exposed by words 1 .. i-1,
+    whose independent-syndrome errors must cover at least i-1 channels."""
+    n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
+    idx, _ = _read_announcement(ctx, delivered, originals.shape[0], width)
+    stats = {"w": len(idx), "pb_indices": idx}
+    if not idx:
+        return pseudobasis.empty_error_basis(ctx.code), stats
+    known = set()
+    words = f.zeros((len(idx), n))
+    for i, blocks in enumerate(delivered["blocks"]):
+        words[i] = broadcast.gen_broadcast_decode(ctx.bcast_code(i), t, blocks,
+                                                  sorted(known))[:n]
+        known.update(int(c) for c in np.nonzero(f.vsub(words[i], originals[idx[i]]))[0])
+        if len(known) < i:
+            raise ProtocolViolation("pseudo-basis words expose too few channels")
+        if len(known) > t:
+            raise ProtocolViolation("more than t channels exposed")
+    return _error_basis(ctx.code, idx, words, originals), stats
+
+
+# What the prefix leaves for the masked phase: Alice's masked words, their
+# syndromes and masks, Bob's codewords sent at his masked indices, his error
+# basis, the stats, and what the masked phase's prefix step added.
+_Prefix = namedtuple("_Prefix", "words syndromes mask originals eb stats extra")
+
+
+def _payload(ctx, state, secrets):
+    """The basic masked phase, Alice's side, for secrets of shape (..., l):
+    per secret a (syndrome || secret + mask) row of t+1 symbols."""
+    t = ctx.params.t
+    z = ctx.params.field.vadd(secrets, state.mask)
+    rows = np.empty(z.shape + (t + 1,), dtype=np.int64)
+    rows[..., :t] = state.syndromes
+    rows[..., t] = z
+    return rows.reshape(-1)
+
+
+def _unmask(ctx, state, symbols):
+    """Bob's side of _payload, for one or more secret vectors: recovers each
+    masked word's error from its syndrome, rebuilds Alice's received word and
+    strips the mask.  Returns the secrets, one row per secret vector."""
+    n, t, l, f = ctx.params.n, ctx.params.t, ctx.params.l, ctx.params.field
+    rows = symbols.reshape(-1, l, t + 1)
+    errors = pseudobasis.recover_error(ctx.code, state.eb, rows[..., :t].reshape(-1, t))
+    y = f.vadd(state.originals, errors.reshape(-1, l, n))
+    return f.vsub(rows[..., t], ctx.pair.mask(y))
+
+
+def _pack_syndromes(ctx, session, state):
+    """The improved masked phase's prefix step.  Alice publishes her masked
+    words' syndromes packed ceil(t/2)-fold and unique-decodes the words for
+    her second mask; Bob's branch follows from the channels his error basis
+    exposes."""
     t, f = ctx.params.t, ctx.params.field
-    code, pair = ctx.code, ctx.pair
-    l = len(masked)
+    m = ctx.m_syn
+    padded = f.zeros((len(state.words), -(-t // (m + 1)) * (m + 1)))
+    padded[:, :t] = state.syndromes
+    blocks = _publish(session, ctx.bcast_code(m).encode(padded.reshape(-1, m + 1)),
+                      PHASE_MASKED)
+    decoded, _, ok = ctx.code.unique_decode_batch(state.words)
+    state.stats["support_size"] = len(state.eb.support)
+    state.stats["branch"] = "syndromes" if 2 * len(state.eb.support) >= t else "direct"
+    return state._replace(extra=(blocks, ctx.pair.mask(decoded), ok))
+
+
+def _double_payload(ctx, state, secrets):
+    """Per secret z1 = secret + the mask of Alice's word and z2 = secret +
+    the mask of its unique decoding, or 0 where that failed."""
+    f = ctx.params.field
+    _, mask2, ok = state.extra
+    z1 = f.vadd(secrets, state.mask)
+    z2 = np.where(ok, f.vadd(secrets, mask2), 0)
+    return np.stack([z1, z2], axis=-1).reshape(-1)
+
+
+def _double_unmask(ctx, state, symbols):
+    """With at least t/2 exposed channels Bob decodes the packed syndromes,
+    rebuilds Alice's words and strips z1; otherwise every masked word had so
+    few errors that Alice's decoding was right, and z2 against his sent
+    codeword does it."""
+    t, l, f = ctx.params.t, ctx.params.l, ctx.params.field
+    zz = symbols.reshape(-1, l, 2)
+    if state.stats["branch"] == "direct":
+        return f.vsub(zz[..., 1], ctx.pair.mask(state.originals))
+    flat = broadcast.gen_broadcast_decode(ctx.bcast_code(ctx.m_syn), t, state.extra[0],
+                                          state.eb.support)
+    errors = pseudobasis.recover_error(ctx.code, state.eb, flat.reshape(l, -1)[:, :t])
+    return f.vsub(zz[..., 0], ctx.pair.mask(f.vadd(state.originals, errors)))
+
+
+# A protocol: the round-one words it sends beyond t+l, its pseudo-basis pair,
+# and its masked phase as an optional prefix step (ctx, session, state) ->
+# state, payload(ctx, state, secrets) and unmask(ctx, state, symbols).
+Protocol = namedtuple("Protocol", "extra_words send receive prepare payload unmask")
+BASIC = Protocol(0, send_plain, receive_plain, None, _payload, _unmask)
+IMPROVED = Protocol(1, send_packed, receive_packed, _pack_syndromes, _double_payload,
+                    _double_unmask)
+
+
+def _prefix(ctx, proto, session, X):
+    """Round one, the pseudo-basis phase and the masked phase's prefix step.
+    Nothing here depends on the secrets, so an audit can run it once for
+    many of them."""
+    l = ctx.params.l
+    num_words = X.shape[0]
+    width = _index_width(num_words, ctx.params.field.q)
+
+    # round 1: Bob -> Alice
+    Y = session.transmit(BOB_TO_ALICE, X, PHASE_ROUND1)
+
+    # round 2 opens with Alice's pseudo-basis; Bob learns the errors on its words
+    pb = pseudobasis.compute_pseudo_basis(ctx.code, Y)
+    masked = _masked_indices(num_words, pb.indices, l)
+    eb, stats = proto.receive(ctx, proto.send(ctx, session, pb, width), X, width)
+    stats["masked_indices"] = masked
     words = Y[masked]
-    syns = code.syndrome(words)
-    bsyn = -(-t // (ctx.m_syn + 1))
-    padded = f.zeros((l, bsyn * (ctx.m_syn + 1)))
-    padded[:, :t] = syns
-    blocks = ctx.bcast_code(ctx.m_syn).encode(padded.reshape(-1, ctx.m_syn + 1))
-    got_blocks = session.transmit(ALICE_TO_BOB, blocks, PHASE_MASKED, public=True)
-    z1 = f.vadd(secrets, pair.mask(words))
-    dec, derr, dok = code.unique_decode_batch(words)
-    z2 = np.where(dok, f.vadd(secrets, pair.mask(dec)), 0)
-    zz = np.stack([z1, z2], axis=1).reshape(-1)
-    got_z = session.transmit(ALICE_TO_BOB, ctx.broadcast_encode(zz),
-                             PHASE_MASKED, public=True)
-    return {"blocks": got_blocks, "z": got_z, "bsyn": bsyn}
+    state = _Prefix(words, pb.all_syndromes[masked], ctx.pair.mask(words),
+                    X[_masked_indices(num_words, eb.indices, l)], eb, stats, None)
+    return proto.prepare(ctx, session, state) if proto.prepare else state
 
 
-def receive_masked_secrets(ctx, delivered, originals, masked, eb):
-    """Bob's unmasking.  With at least t/2 exposed channels he decodes the
-    packed syndromes, rebuilds Alice's received words, and uses z1; otherwise
-    every masked word had so few errors that Alice's own decoding was
-    certainly correct, and z2 against his sent codeword does it."""
-    t, f = ctx.params.t, ctx.params.field
-    code, pair = ctx.code, ctx.pair
-    l = len(masked)
-    support = eb.support
-    zz = ctx.broadcast_decode(delivered["z"]).reshape(l, 2)
-    if 2 * len(support) >= t:
-        flat = broadcast.gen_broadcast_decode(
-            ctx.bcast_code(ctx.m_syn), t, delivered["blocks"], support)
-        syns = flat.reshape(l, -1)[:, :t]
-        errors = pseudobasis.recover_error(code, eb, syns)
-        y = f.vadd(originals[masked], errors)
-        return f.vsub(zz[:, 0], pair.mask(y)), "syndromes"
-    return f.vsub(zz[:, 1], pair.mask(originals[masked])), "direct"
+def _deliver(ctx, proto, session, state, secrets):
+    """The masked phase's one broadcast, the only transmission whose content
+    depends on the secrets.  Returns what Bob recovers."""
+    got = _publish(session, ctx.broadcast_encode(proto.payload(ctx, state, secrets)),
+                   PHASE_MASKED)
+    return proto.unmask(ctx, state, ctx.broadcast_decode(got))[0]
+
+
+def _run(ctx, proto, secrets, adversary, rng, bob_words, record_transcript):
+    """The two-round skeleton: protocol proto over ctx's code, privacy pair
+    and broadcast."""
+    params = ctx.params
+    secrets = _check_secrets(params, secrets)
+    session = ChannelSession(params.n, params.t, params.field, adversary, record_transcript)
+    X = _round_one_words(ctx.code, params.t + params.l + proto.extra_words, rng, bob_words)
+    state = _prefix(ctx, proto, session, X)
+    out = _deliver(ctx, proto, session, state, secrets)
+    return RunResult._from_session(session, out, state.stats)
+
+
+def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
+              context=None, record_transcript=False):
+    """The plain two-round protocol: pseudo-basis words broadcast in full."""
+    ctx = context if context is not None else ProtocolContext(params)
+    return _run(ctx, BASIC, secrets, adversary, rng, bob_words, record_transcript)
 
 
 def run_improved(params, secrets, adversary=None, rng=None, bob_words=None,
@@ -426,81 +485,12 @@ def run_improved(params, secrets, adversary=None, rng=None, bob_words=None,
     """The 5n + O(n^2/l) protocol: special word, packed pseudo-basis, packed
     syndromes, and the double mask."""
     ctx = context if context is not None else ProtocolContext(params)
-    n, t, l, f = params.n, params.t, params.l, params.field
-    code = ctx.code
-    secrets = _check_secrets(params, secrets)
-    session = ChannelSession(n, t, f, adversary, record_transcript)
-    num_words = t + l + 1
-    width = _index_width(num_words, f.q)
-
-    X = _round_one_words(code, num_words, rng, bob_words)
-    Y = session.transmit(BOB_TO_ALICE, X, PHASE_ROUND1)
-
-    pb = pseudobasis.compute_pseudo_basis(code, Y)
-    masked = _masked_indices(num_words, pb.indices, l)
-    pb_delivered = send_pseudo_basis_fast(ctx, session, pb, width)
-    masks_delivered = send_masked_secrets(ctx, session, secrets, Y, masked)
-
-    eb, stats = receive_pseudo_basis_fast(ctx, pb_delivered, X, width)
-    masked_bob = _masked_indices(num_words, eb.indices, l)
-    out, branch = receive_masked_secrets(ctx, masks_delivered, X, masked_bob, eb)
-
-    stats["masked_indices"] = masked
-    stats["support_size"] = int(len(eb.support))
-    stats["branch"] = branch
-    return RunResult._from_session(session, out, stats)
+    return _run(ctx, IMPROVED, secrets, adversary, rng, bob_words, record_transcript)
 
 
-def send_pseudo_basis_incremental(ctx, session, pb, width):
-    """Warm-up sender: the i-th pseudo-basis word (1-based) goes out packed
-    (i-1)-fold, costing ceil(n/i) arrays, since the receiver will know i-1
-    corrupted channels by then.  Returns the delivered arrays."""
-    f = ctx.params.field
-    w = len(pb)
-    out = {"w": w}
-    out["marker"] = session.transmit(
-        ALICE_TO_BOB, ctx.broadcast_encode([w]), PHASE_PB_OVERHEAD, public=True)
-    if w == 0:
-        return out
-    out["head"] = session.transmit(
-        ALICE_TO_BOB, ctx.broadcast_encode(_encode_indices(pb.indices, width, f.q)),
-        PHASE_PB_OVERHEAD, public=True)
-    out["blocks"] = []
-    for i in range(w):
-        code_i = ctx.bcast_code(i)
-        out["blocks"].append(session.transmit(
-            ALICE_TO_BOB, broadcast.gen_broadcast_encode(code_i, pb.words[i]),
-            PHASE_PSEUDO_BASIS, public=True))
-    return out
-
-
-def receive_pseudo_basis_incremental(ctx, delivered, originals, width):
-    """Warm-up receiver: decodes word i erasing the channels already exposed
-    by words 1 .. i-1, whose independent-syndrome errors must cover at least
-    i-1 channels.  Returns the reconstructed error basis."""
-    n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
-    code = ctx.code
-    num_words = originals.shape[0]
-    w = int(ctx.broadcast_decode(delivered["marker"])[0])
-    _check_pseudo_basis(w, t, num_words)
-    if w == 0:
-        return pseudobasis.empty_error_basis(code)
-    idx = _decode_indices(ctx.broadcast_decode(delivered["head"]), width, f.q)
-    _check_pseudo_basis(w, t, num_words, idx)
-    known = set()
-    words = f.zeros((w, n))
-    for i in range(w):
-        flat = broadcast.gen_broadcast_decode(ctx.bcast_code(i), t,
-                                              delivered["blocks"][i], sorted(known))
-        words[i] = flat[:n]
-        err = f.vsub(words[i], originals[idx[i]])
-        known.update(int(c) for c in np.nonzero(err)[0])
-        if len(known) < i:
-            raise ProtocolViolation("pseudo-basis words expose too few channels")
-        if len(known) > t:
-            raise ProtocolViolation("more than t channels exposed")
-    pb = pseudobasis.PseudoBasis(idx, words, code.syndrome(words))
-    return pseudobasis.extract_error_basis(code, pb, originals)
+# functools.wraps copies these; a runner without one counts as basic
+run_basic.protocol = BASIC
+run_improved.protocol = IMPROVED
 
 
 class AuditBudgetExceeded(RuntimeError):
@@ -538,7 +528,7 @@ def privacy_audit(params, runner, adversary, budget=DEFAULT_AUDIT_BUDGET):
     run is also required to deliver its secrets exactly.  Raises
     AuditBudgetExceeded (reporting the exact need) rather than sampling."""
     ctx = ProtocolContext(params)
-    num_words = params.t + params.l + (1 if runner is run_improved else 0)
+    num_words = params.t + params.l + getattr(runner, "protocol", BASIC).extra_words
     return _exhaustive_audit(ctx.code, num_words, params.l,
                             _runner_step(params, runner, adversary, ctx), budget)
 
@@ -562,15 +552,16 @@ def _shared_prefix_step(params, runner, adversary, ctx):
     would in a fresh run.  Payloads and unmasking take one batched call each.
     On the first choice every secret is also checked against a fresh run."""
     n, t, f = params.n, params.t, params.field
+    proto = getattr(runner, "protocol", BASIC)
 
     def step(X, secrets, first):
         session = ChannelSession(n, t, f, adversary)
-        state = _prefix(ctx, session, X)
+        state = _prefix(ctx, proto, session, X)
         view = session.eve_view
         base = len(view)
         prefix = view_bytes(view)
         num = secrets.shape[0]
-        enc = ctx.broadcast_encode(_payload(ctx, state, secrets))
+        enc = ctx.broadcast_encode(proto.payload(ctx, state, secrets))
         taps = adversary.tap(enc).reshape(num, -1, adversary.t)
         enc = enc.reshape(num, -1, n)
         delivered, keys = [], []
@@ -579,7 +570,7 @@ def _shared_prefix_step(params, runner, adversary, ctx):
             delivered.append(session.intercept(ALICE_TO_BOB, PHASE_MASKED, enc[s], taps[s]))
             view.append(("public", ALICE_TO_BOB, PHASE_MASKED, enc[s]))
             keys.append(prefix + view_bytes(view[base:]))
-        outs = _unmask(ctx, state, ctx.broadcast_decode(np.concatenate(delivered)))
+        outs = proto.unmask(ctx, state, ctx.broadcast_decode(np.concatenate(delivered)))
         for s in range(num):
             yield outs[s], keys[s]
             if first:

@@ -17,7 +17,9 @@ from .channels import ProtocolViolation
 
 
 class PseudoBasis:
-    """Selected word indices, the words themselves, and their syndromes."""
+    """Selected word indices, the words themselves, and their syndromes.
+    compute_pseudo_basis also keeps every input word's syndrome, in input
+    order, as all_syndromes."""
 
     def __init__(self, indices, words, syndromes):
         self.indices = list(indices)
@@ -92,7 +94,9 @@ def compute_pseudo_basis(code, words):
             start += i + 1
             rest = rest[i + 1:]
         start += len(rest)
-    return PseudoBasis(kept, words[kept].copy(), syns[kept].copy())
+    pb = PseudoBasis(kept, words[kept].copy(), syns[kept].copy())
+    pb.all_syndromes = syns
+    return pb
 
 
 def extract_error_basis(code, pb, originals):

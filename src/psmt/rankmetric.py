@@ -12,7 +12,7 @@ code, decoded exactly by a vote over the p^n F_p-combinations of each
 received word (rank_broadcast_decode; the field order is capped, which bounds
 its q x n candidate table and (rows, q) vote counts).
 
-The protocol is the two-round skeleton of protocols.run_basic, with
+The protocol is protocols.BASIC on the two-round skeleton, with
 RankContext (the Gabidulin privacy pair and the rank broadcast) in place of
 ProtocolContext.  The syndrome map is injective on spans all of whose
 elements have rank below the code distance; pseudobasis checks that bound on
@@ -32,6 +32,7 @@ from . import gf
 from .channels import ChannelSession, ProtocolViolation
 from .mds import PrivacyPair
 from .protocols import (
+    BASIC,
     DEFAULT_AUDIT_BUDGET,
     SessionParams,
     _exhaustive_audit,
@@ -409,7 +410,7 @@ def run_rank_protocol(params, secrets, adversary=None, rng=None, bob_words=None,
     a (syndrome || masked value) row back, every return symbol spread over
     the [n, 1] rank code."""
     ctx = context if context is not None else RankContext(params)
-    return _run(ctx, secrets, adversary, rng, bob_words, record_transcript)
+    return _run(ctx, BASIC, secrets, adversary, rng, bob_words, record_transcript)
 
 
 def rank_audit_adversaries(params, seed=0):

@@ -166,13 +166,11 @@ def test_criterion_05():
             pb = pseudobasis.compute_pseudo_basis(code, f.vadd(x, errors))
             assert len(pb) == w
             session = ChannelSession(n, t, f)
-            delivered = protocols.send_pseudo_basis_incremental(ctx, session,
-                                                                pb, width)
+            delivered = protocols.send_incremental(ctx, session, pb, width)
             cost = session.ledger.counts.get(
                 (PHASE_PSEUDO_BASIS, ALICE_TO_BOB), 0)
             assert cost == sum(-(-n // i) * n for i in range(1, w + 1))
-            eb = protocols.receive_pseudo_basis_incremental(ctx, delivered, x,
-                                                            width)
+            eb, _ = protocols.receive_incremental(ctx, delivered, x, width)
             assert np.array_equal(eb.errors, errors[:w])
 
 

@@ -171,28 +171,31 @@ def test_run_refuses_unusable_field(tmp_path, capsys, n, q, message):
     assert message in capsys.readouterr().err
 
 
-# sha256 of phases.csv followed by summary.csv, for one seeded run of each
-# protocol against a tampering adversary.  Changes that only restructure the
-# code must leave these outputs byte-identical.
+# sha256 of phases.csv, summary.csv and the transcript_*.jsonl files in
+# order, for one seeded run of each protocol against a tampering adversary.
+# Changes that only restructure the code must leave these outputs, the wire
+# order included, byte-identical.
 PINNED_RUNS = {
     "basic": (["--protocol", "basic", "--n", "7", "--l", "5", "--q", "16",
                "--adversary", "replay"],
-              "674014f0c82733a45c20e828e90666c76c4e6905ea9c13f2bdbfc1b4421d5b9f"),
+              "dcae74fcedb6e3a1fe0eae2b770dfb01196d329343f1bf3cc7b867f12b075dfc"),
     "improved": (["--protocol", "improved", "--n", "7", "--l", "5",
                   "--adversary", "targeted-syndrome"],
-                 "d830568096a4b93733112d6258e0795451a4e89471078978fff4b1ad6beda295"),
+                 "1fcce6e60790282cfce23e8b3eba43498eb3d38a4d157544f65ae875a5a4062a"),
     "rank": (["--protocol", "rank", "--n", "3", "--l", "3",
               "--adversary", "tap-replay"],
-             "bb40dbe2cd8c449e81992bfd869333db6a09b85c5dd671a21d2bde1a6c82ec9b"),
+             "100ca4cd8a216eba33fd8774a0df04741b5834044e28ed805703b9d9633c1504"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_run_outputs_match_pinned_digests(tmp_path, capsys, name):
     args, digest = PINNED_RUNS[name]
-    assert main(["run", *args, "--trials", "4", "--seed", "13",
+    assert main(["run", *args, "--trials", "4", "--seed", "13", "--transcript",
                  "--out", str(tmp_path)]) == 0
+    transcripts = sorted(tmp_path.glob("transcript_*.jsonl"))
+    assert len(transcripts) == 4
     h = hashlib.sha256()
-    for csv in ("phases.csv", "summary.csv"):
-        h.update((tmp_path / csv).read_bytes())
+    for path in [tmp_path / "phases.csv", tmp_path / "summary.csv", *transcripts]:
+        h.update(path.read_bytes())
     assert h.hexdigest() == digest

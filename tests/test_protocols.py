@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -255,31 +257,31 @@ def test_special_word_accumulation_case():
     assert 3 * np.count_nonzero(true_err) >= min(3 * 2, p.t)
 
 
+# the warm-up pair on the basic masked phase: a description built from parts
+INCREMENTAL = protocols.BASIC._replace(send=protocols.send_incremental,
+                                       receive=protocols.receive_incremental)
+
+
 @pytest.mark.parametrize("n", [5, 11])
-def test_incremental_warmup_cost_and_recovery(n):
-    t = (n - 1) // 2
-    p = params_for(n, l=1)
+def test_incremental_pair_runs_on_the_skeleton(n):
+    # through _run against every built-in adversary: exact delivery, and the
+    # pseudo-basis phase costs sum_{i=1..w} ceil(n/i) * n
+    p = params_for(n, l=3)
+    t, f = p.t, p.field
     ctx = ProtocolContext(p)
-    f = p.field
-    code = ctx.code
-    for w in range(t + 1):
-        num_words = t + 1
-        width = _index_width(num_words, f.q)
-        msgs = f.zeros((num_words, code.k))
-        msgs[:, 0] = np.arange(num_words)
-        x = code.encode(msgs)
-        errors = f.zeros((num_words, n))
-        for i in range(w):
-            errors[i, i] = 1 + (i % (f.q - 1))
-        words = f.vadd(x, errors)
-        pb = pseudobasis.compute_pseudo_basis(code, words)
-        assert len(pb) == w
-        session = ChannelSession(n, t, f)
-        delivered = protocols.send_pseudo_basis_incremental(ctx, session, pb, width)
-        cost = session.ledger.counts.get((PHASE_PSEUDO_BASIS, ALICE_TO_BOB), 0)
-        assert cost == sum(-(-n // i) * n for i in range(1, w + 1))
-        eb = protocols.receive_pseudo_basis_incremental(ctx, delivered, x, width)
-        assert np.array_equal(eb.errors, errors[:w])
+    ws = set()
+    for a, (name, factory) in enumerate(sorted(builtin_adversaries().items())):
+        for seed in range(6):
+            rng = np.random.default_rng([n, a, seed])
+            adv = factory(n, t, f, rng)
+            secrets = f.random(rng, 3)
+            res = protocols._run(ctx, INCREMENTAL, secrets, adv, rng, None, False)
+            assert np.array_equal(res.secrets, secrets), (name, seed)
+            w = res.stats["w"]
+            ws.add(w)
+            cost = res.ledger.counts.get((PHASE_PSEUDO_BASIS, ALICE_TO_BOB), 0)
+            assert cost == sum(-(-n // i) * n for i in range(1, w + 1)), (name, seed)
+    assert 0 in ws and t in ws
 
 
 def test_privacy_audit_budget_refusal():
@@ -377,6 +379,22 @@ def test_round_one_word_count_checked():
             runner(p, [1], bob_words=code.random_codeword(rng, num)[:, :2])
         res = runner(p, [1], bob_words=code.random_codeword(rng, num))
         assert list(res.secrets) == [1]
+
+
+def test_audit_word_count_survives_wraps():
+    # functools.wraps copies run_improved's description, so the audit counts
+    # t+l+1 round-one words for the wrapper too
+    p = params_for(3, l=1, q=5)
+    wrapped = functools.wraps(run_improved)(lambda *args, **kwargs: run_improved(*args, **kwargs))
+    with pytest.raises(AuditBudgetExceeded) as e:
+        privacy_audit(p, wrapped, PassiveAdversary((0,), p.field), budget=10)
+    assert e.value.required == (5 ** 2) ** 3 * 5 == 78125
+    # a wrapper around run_basic, like the benchmark's recording runner,
+    # still gets t+l words
+    plain = lambda *args, **kwargs: run_basic(*args, **kwargs)
+    with pytest.raises(AuditBudgetExceeded) as e:
+        privacy_audit(p, plain, PassiveAdversary((0,), p.field), budget=10)
+    assert e.value.required == (5 ** 2) ** 2 * 5
 
 
 def test_audit_of_wrapped_improved_refuses():

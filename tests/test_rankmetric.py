@@ -17,6 +17,7 @@ from psmt.channels import (
 )
 from psmt.pseudobasis import compute_pseudo_basis, extract_error_basis, recover_error
 from psmt.protocols import (
+    BASIC,
     AuditBudgetExceeded,
     ProtocolViolation,
     SessionParams,
@@ -342,13 +343,13 @@ def test_shared_round_path_matches_fresh_runs():
         for choice_seed in range(3):
             X = ctx.code.random_codeword(np.random.default_rng(choice_seed), 2)
             session = ChannelSession(p.n, p.t, f, adv)
-            state = _prefix(ctx, session, X)
+            state = _prefix(ctx, BASIC, session, X)
             base = len(session.eve_view)
             prefix = view_bytes(session.eve_view)
             for s in range(16):
                 del session.eve_view[base:]
                 secret = np.array([s], dtype=np.int64)
-                out = _deliver(ctx, session, state, secret)
+                out = _deliver(ctx, BASIC, session, state, secret)
                 vk = prefix + view_bytes(session.eve_view[base:])
                 fresh = run_rank_protocol(p, secret, adversary=adv, bob_words=X)
                 assert np.array_equal(out, fresh.secrets)
