@@ -2,7 +2,11 @@
 
 Plain broadcast repeats each symbol on every channel; with at most t rewrites
 the sent value is the only one that can appear n - t times, so majority
-decoding is exact.  Generalized broadcast packs m+1 symbols per transmission
+decoding is exact.  The n copies are never written out: a plain broadcast is
+sent as a read-only (arrays, n) view with column stride 0 over the symbols,
+and since no layer writes into a sent block (the adversary's rewrites go into
+a copy), the ledger, the transcript and her view all read the same logical
+block of n copies.  Generalized broadcast packs m+1 symbols per transmission
 as a codeword of an [n, m+1] code; a receiver who can already point at m (or
 more) corrupted channels decodes with those channels erased, and the
 errors-and-erasures radius covers every remaining in-model error.
@@ -11,22 +15,37 @@ errors-and-erasures radius covers every remaining in-model error.
 import numpy as np
 
 from . import gf
-from .channels import ProtocolViolation
+from .channels import ProtocolViolation, _outside
+
+# From this many symbols on, broadcast_decode sorts rows as int32 when every
+# symbol fits.  numpy 2.4.6 on a 2-vCPU x86-64 virtual machine: a (53016, 47)
+# block sorts in 3.7 ms against 7.0 ms as int64; at 4,096 symbols the cast
+# and its guard cost at most 1 us more than they save, at row length 3 to 15.
+_NARROW_MIN = 4096
 
 
 def broadcast_encode(n, symbols):
-    """Each symbol becomes one length-n array of n copies."""
-    symbols = np.asarray(symbols, dtype=np.int64).reshape(-1)
-    return np.repeat(symbols[:, None], n, axis=1)
+    """Each symbol becomes one length-n array of n copies: a read-only view
+    with column stride 0 over a private copy of the symbols."""
+    symbols = np.array(symbols, dtype=np.int64).reshape(-1)
+    symbols.flags.writeable = False
+    return np.ndarray((len(symbols), n), np.int64, buffer=symbols, strides=(8, 0))
 
 
 def broadcast_decode(arrays, t, keep=None):
     """Majority value of each array; keep optionally restricts to a column
     subset (used when erasing known-bad channels).
 
-    A value occupying more than half the counted columns must cover the
-    middle of the sorted row; the count is then verified so an out-of-model
-    adversary raises instead of corrupting the result.
+    Each row is sorted once, into S, and its candidate is the middle entry
+    S[mid], mid = kept // 2.  The candidate's copies are one run of S that
+    covers mid, so there are at least need = n - t of them iff a window of
+    need entries inside the row that covers mid is constant: iff
+    S[j] == S[j + need - 1] for some j with max(0, mid - need + 1) <= j <=
+    min(mid, kept - need).  With n >= 2t + 1, need > kept / 2, so every
+    window inside the row covers mid, and a row has a value with need copies
+    iff its candidate is one; with kept < need there is no window at all.
+    A block with a row that has none raises ProtocolViolation instead of
+    returning a wrong value.
     """
     arrays = np.asarray(arrays, dtype=np.int64)
     n = arrays.shape[1]
@@ -34,12 +53,16 @@ def broadcast_decode(arrays, t, keep=None):
         arrays = arrays[:, keep]
     kept = arrays.shape[1]
     need = n - t
-    s = np.sort(arrays, axis=1)
-    cand = s[:, kept // 2]
-    counts = np.count_nonzero(arrays == cand[:, None], axis=1)
-    if np.any(counts < need):
+    mid = kept // 2
+    lo = max(0, mid - need + 1)
+    width = max(0, min(mid, kept - need) - lo + 1)
+    narrow = arrays.size >= _NARROW_MIN and not _outside(arrays, 2**31)
+    s = arrays.astype(np.int32 if narrow else np.int64)
+    s.sort(axis=1)
+    runs = s[:, lo : lo + width] == s[:, lo + need - 1 : lo + need - 1 + width]
+    if not runs.any(axis=1).all():
         raise ProtocolViolation("no channel-majority value; more than t rewrites")
-    return cand
+    return s[:, mid].astype(np.int64)
 
 
 def gen_broadcast_encode(code, symbols):

@@ -119,6 +119,7 @@ class AdversaryStrategy:
     def __init__(self, corrupted, field):
         self.corrupted = tuple(sorted(set(int(c) for c in corrupted)))
         self.field = field
+        self._mask = None
 
     @property
     def t(self):
@@ -139,11 +140,24 @@ class AdversaryStrategy:
         return self.tamper(direction, phase, taps, view)
 
     def inject(self, arrays, taps, reply):
+        """A row-contiguous copy of arrays with her channels rewritten: the
+        True entries of the channel mask, in order, are her reply's entries
+        in order, because her channels are sorted."""
         if np.array_equal(reply, taps):
             return arrays
         delivered = arrays.copy()
-        delivered[:, list(self.corrupted)] = reply
+        np.place(delivered, self._channel_mask(arrays.shape), reply)
         return delivered
+
+    def _channel_mask(self, shape):
+        """(rows, n) bools, True on her channels: a row prefix of the
+        largest such mask built so far, so contiguous."""
+        mask = self._mask
+        if mask is None or mask.shape[1] != shape[1] or mask.shape[0] < shape[0]:
+            row = np.zeros(shape[1], dtype=bool)
+            row[list(self.corrupted)] = True
+            self._mask = mask = np.tile(row, (shape[0], 1))
+        return mask[: shape[0]]
 
     def tamper(self, direction, phase, observed, view):
         return observed
@@ -267,6 +281,12 @@ class ChannelSession:
         self.eve_view = []
 
     def transmit(self, direction, arrays, phase, public=False):
+        """Send a (num_arrays, n) block and return what is delivered.
+
+        The block is kept as given in the ledger, the transcript and her
+        view, and no layer writes into it: a plain broadcast arrives as a
+        read-only view with column stride 0 (broadcast.broadcast_encode),
+        and the adversary's rewrites go into a copy."""
         arrays = np.asarray(arrays, dtype=np.int64)
         if arrays.ndim != 2 or arrays.shape[1] != self.n:
             raise ValueError("transmission must be a stack of length-%d arrays" % self.n)

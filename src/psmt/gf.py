@@ -575,8 +575,10 @@ def mat_mul(f, A, B):
         for i in range(c, A.shape[1], c):
             out = _mod(out + _mod(A[:, i : i + c] @ B[i : i + c], p), p)
         return out
-    out = f.zeros((A.shape[0], B.shape[1]))
-    for i in range(A.shape[1]):
+    if A.shape[1] == 0:
+        return f.zeros((A.shape[0], B.shape[1]))
+    out = f.vmul(A[:, :1], B[:1])
+    for i in range(1, A.shape[1]):
         out = f.vadd(out, f.vmul(A[:, i : i + 1], B[i : i + 1, :]))
     return out
 

@@ -208,8 +208,10 @@ class PrivacyPair:
         self.field = code.field
 
     def mask(self, words):
-        """h . word along the last axis."""
-        return self.field.vdot(self.h, np.asarray(words, dtype=np.int64))
+        """h . word along the last axis, as one (words, n) (n, 1) product."""
+        words = np.asarray(words, dtype=np.int64)
+        flat = words.reshape(-1, self.h.shape[0])
+        return gf.mat_mul(self.field, flat, self.h[:, None]).reshape(words.shape[:-1])
 
 
 def build_privacy_pair(n, t, f):

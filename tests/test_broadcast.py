@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -35,6 +36,86 @@ def test_plain_decode_exhaustive_n3():
     for row in itertools.permutations(range(3)):
         with pytest.raises(ProtocolViolation):
             broadcast.broadcast_decode(np.array(row)[None, :], 1)
+
+
+def test_plain_encode_is_a_read_only_repetition_view():
+    # the n copies are a view: equal to np.repeat, and never writable, so
+    # no layer can change a block after it is sent
+    symbols = np.array([[3, 0], [6, 2]])
+    out = broadcast.broadcast_encode(5, symbols)
+    assert np.array_equal(out, np.repeat(symbols.reshape(-1)[:, None], 5, axis=1))
+    assert out.strides[1] == 0 and not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 1] = 1
+    # it holds its own copy of the symbols
+    symbols[0, 0] = 4
+    assert out[0].tolist() == [3] * 5
+
+
+def _majority_oracle(row, need):
+    """The value with at least need copies in row, or None."""
+    value, count = collections.Counter(row.tolist()).most_common(1)[0] if len(row) else (0, 0)
+    return value if count >= need else None
+
+
+def _rows_with_majority(rng, num, n, need, high):
+    """num rows of length n: each has a value with between need - 1 and n
+    copies, the rest drawn from a pool of four values (ties) or from the
+    whole range (mostly all distinct)."""
+    copies = rng.integers(need - 1, n + 1, size=num)
+    small = rng.integers(0, high, size=(num, 4))
+    pool = np.take_along_axis(small, rng.integers(0, 4, size=(num, n)), axis=1)
+    wide = rng.integers(0, high, size=(num, n))
+    rows = np.where(rng.random(num)[:, None] < 0.5, pool, wide)
+    rows[np.arange(n)[None, :] < copies[:, None]] = np.repeat(rows[:, 0], copies)
+    return rng.permuted(rows, axis=1)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 47])
+def test_plain_decode_matches_counter_oracle(n):
+    # every row alone, with every t allowed at this n and random keep
+    # subsets (some shorter than n - t): decode raises iff the oracle finds
+    # no value with n - t copies, and otherwise returns that value
+    rng = np.random.default_rng(n)
+    for high in (7, 2**31 - 1):
+        for t in range(1, (n - 1) // 2 + 1):
+            need = n - t
+            rows = _rows_with_majority(rng, 150, n, need, high)
+            rows[0] = np.arange(n)  # every value differs
+            rows[1] = np.append(np.resize([high - 1, high - 2], n - 1), 0)  # a tie
+            for row in rows:
+                keep = None
+                if rng.random() < 0.3:
+                    size = int(rng.integers(0, n + 1))
+                    keep = np.sort(rng.choice(n, size=size, replace=False))
+                kept = row if keep is None else row[keep]
+                want = _majority_oracle(kept, need)
+                if want is None:
+                    with pytest.raises(ProtocolViolation):
+                        broadcast.broadcast_decode(row[None, :], t, keep=keep)
+                else:
+                    got = broadcast.broadcast_decode(row[None, :], t, keep=keep)
+                    assert got.dtype == np.int64 and got.tolist() == [want]
+
+
+@pytest.mark.parametrize("high", [2**31 - 1, 2**40])
+def test_plain_decode_large_block_matches_counter_oracle(high):
+    # blocks past the int32 narrowing size, with symbols up to 2^31 - 2
+    # (narrowed) or up to 2^40 (not): every row's majority when each row
+    # has one, and a raise when one row has none
+    n, t = 47, 23
+    rng = np.random.default_rng(high % 1000)
+    rows = _rows_with_majority(rng, 60_000, n, n - t, high)
+    for keep in (None, np.arange(1, n)):
+        want = [_majority_oracle(row, n - t) for row in (rows if keep is None else rows[:, keep])]
+        good = np.array([w is not None for w in want])
+        assert 50_000 <= good.sum() < len(rows)
+        with pytest.raises(ProtocolViolation):
+            broadcast.broadcast_decode(rows, t, keep=keep)
+        got = broadcast.broadcast_decode(rows[good], t, keep=keep)
+        assert got.tolist() == [w for w in want if w is not None]
+        # negative symbols are never narrowed
+        assert np.array_equal(broadcast.broadcast_decode(-rows[good], t, keep=keep), -got)
 
 
 def test_gen_encode_m0_is_repetition():

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from psmt import channels, gf
+from psmt import broadcast, channels, gf
 from psmt.channels import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
     PHASE_MASKED,
+    PHASE_PSEUDO_BASIS,
     PHASE_ROUND1,
     AdversaryFault,
     AdversaryStrategy,
@@ -215,3 +216,51 @@ def test_targeted_syndrome_injections_visible():
     got = session.transmit(BOB_TO_ALICE, sent, PHASE_ROUND1)
     assert np.count_nonzero(got[:, [1, 3]]) > 0
     assert not got[:, [0, 2, 4]].any()
+
+
+@pytest.mark.parametrize("size", [0, 1, 23])
+def test_inject_matches_column_assignment(size):
+    # her rewrites land exactly where a column assignment puts them, on a
+    # repetition view and on a plain block, for 0, 1 and t = 23 channels
+    # given unsorted and with repeats; blocks of 1, 53,016 and again 1 rows,
+    # so the cached channel mask is built, grown and sliced
+    f = gf.field(53)
+    rng = np.random.default_rng(size)
+    chosen = rng.permutation(47)[:size].tolist()
+    adv = AdversaryStrategy(chosen + chosen[: (size + 1) // 2], f)
+    columns = sorted(chosen)
+    for rows in (1, 53_016, 1):
+        symbols = f.random(rng, rows)
+        for arrays in (broadcast.broadcast_encode(47, symbols), f.random(rng, (rows, 47))):
+            before = arrays.copy()
+            taps = adv.tap(arrays)
+            reply = f.random(rng, taps.shape)
+            got = adv.inject(arrays, taps, reply)
+            want = before.copy()
+            want[:, columns] = reply
+            assert np.array_equal(got, want)
+            assert np.array_equal(arrays, before)
+
+
+@pytest.mark.parametrize("adv_cls,kw", [(RandomNoiseAdversary, {"seed": 5}),
+                                        (ReplayAdversary, {}), (PassiveAdversary, {})])
+def test_repetition_view_and_block_send_alike(adv_cls, kw):
+    # a session sending the read-only repetition view records the same
+    # view key, transcript log and deliveries as one sending n copies
+    sessions = []
+    for encode in (broadcast.broadcast_encode,
+                   lambda n, s: np.repeat(np.asarray(s)[:, None], n, axis=1)):
+        session, f = make_session(n=7, t=3, corrupted=(5, 1, 2), q=11, adv_cls=adv_cls,
+                                  record_transcript=True, **kw)
+        rng = np.random.default_rng(9)
+        delivered = [session.transmit(BOB_TO_ALICE, f.random(rng, (4, 7)), PHASE_ROUND1)]
+        for phase, rows in ((PHASE_PSEUDO_BASIS, 1), (PHASE_MASKED, 6)):
+            sent = encode(7, f.random(rng, rows))
+            delivered.append(session.transmit(ALICE_TO_BOB, sent, phase, public=True))
+        fh = io.StringIO()
+        session.transcript.write_log(fh, field=f)
+        sessions.append((session.view_key(), fh.getvalue(), delivered))
+    (key_view, log_view, got_view), (key_block, log_block, got_block) = sessions
+    assert key_view == key_block
+    assert log_view == log_block
+    assert all(np.array_equal(a, b) for a, b in zip(got_view, got_block))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from psmt import gf, mds
+from psmt import gf, mds, rankmetric
 from helpers import contains, unique_decode
 
 
@@ -327,3 +327,24 @@ def test_batch_decode_matches_row_by_row_at_benchmark_sizes(k):
         assert ok.all() == (s == n - k)
         assert not np.any(code.syndrome(X[ok]))
         assert np.array_equal(f.vadd(X, E), Y)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: mds.build_privacy_pair(47, 23, gf.field(53)),
+    lambda: mds.build_privacy_pair(11, 5, gf.field(67_108_859)),
+    lambda: mds.build_privacy_pair(7, 3, gf.field(2**31 - 1)),
+    lambda: rankmetric.rank_privacy_pair(3, 1, gf.field(2, 4)),
+    lambda: rankmetric.rank_privacy_pair(5, 2, gf.field(2, 6)),
+], ids=["F53", "F67108859", "F2^31-1", "F16-gabidulin", "F64-gabidulin"])
+def test_mask_matches_vdot(pair):
+    # the mask is one matrix product; the row-wise inner product is its
+    # oracle, on one word, a stack of words and a stack of stacks
+    pair = pair()
+    f, n = pair.field, pair.code.n
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (2209, n), (3, 4, n)):
+        words = f.random(rng, shape)
+        words.reshape(-1)[:n] = f.q - 1
+        got = pair.mask(words)
+        assert got.shape == shape[:-1]
+        assert np.array_equal(got, f.vdot(pair.h, words))

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,3 +438,22 @@ def test_improved_stats_keys_do_not_depend_on_w():
     assert passive.stats["w"] == 0 and targeted.stats["w"] == 3
     assert passive.stats["pb_indices"] == []
     assert set(passive.stats) == set(targeted.stats)
+
+
+def test_basic_n47_memory_peak():
+    # the masked phase's 53,016 x 47 plain broadcast is sent as a stride-0
+    # view and decoded from one int32 sort, so one session at n=47 over F_53
+    # with l=2209 peaks near 45.7 MiB of traced allocations; sending and
+    # reading n materialized copies took 73.1 MiB
+    params = params_for(47, l=47 * 47, q=53)
+    rng = np.random.default_rng(47)
+    adversary = builtin_adversaries()["random-noise"](47, 23, params.field, rng)
+    secrets = params.field.random(rng, params.l)
+    tracemalloc.start()
+    try:
+        res = run_basic(params, secrets, adversary=adversary, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(res.secrets, secrets)
+    assert peak < 48 * 2**20, "peak %.1f MiB" % (peak / 2**20)
