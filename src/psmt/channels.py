@@ -332,5 +332,9 @@ def view_bytes(entries):
 
 def _outside(arr, q):
     """Whether an int64 array holds a symbol outside [0, q).  Negative
-    symbols wrap to huge unsigned ones, so one maximum covers both ends."""
+    symbols wrap to huge unsigned ones, so one maximum covers both ends.
+    A block with column stride 0 (a plain broadcast's view) repeats each
+    row's one symbol, so only its first column, the N symbols, is read."""
+    if arr.ndim == 2 and arr.strides[1] == 0:
+        arr = arr[:, :1]
     return arr.size > 0 and int(np.maximum.reduce(arr.view(np.uint64), axis=None)) >= q

@@ -174,9 +174,13 @@ class PrimeField(_FieldBase):
         return np.array(flat, dtype=np.int64).reshape(a.shape)
 
     def vdot(self, a, b):
+        """Inner product along the last axis.  Entries may be any x with
+        |x| < p, as for mat_mul, and are not reduced first: every product
+        then has |a*b| <= (p-1)^2, so an int64 sum of self.chunk of them is
+        exact, and the sums are reduced between chunks."""
         p = self.p
-        a = _mod(np.asarray(a, dtype=np.int64), p)
-        b = _mod(np.asarray(b, dtype=np.int64), p)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
         c = self.chunk
         out = _mod(np.einsum("...i,...i->...", a[..., :c], b[..., :c]), p)
         for i in range(c, a.shape[-1], c):

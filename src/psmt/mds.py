@@ -93,11 +93,22 @@ class ReedSolomonCode:
     def unique_decode_batch(self, Y, erasures=()):
         """Vectorized unique decoding from syndromes: (codewords, errors, ok).
 
-        A word decodes when some codeword differs from it, outside the erased
-        positions, in at most (n - k - s) // 2 places, s = len(erasures); the
-        erased symbols are then restored too.  Berlekamp-Massey on the
-        erasure-modified syndromes gives the error locator, a Chien search
-        its roots, and Forney's formula the errata values.
+        Y is a (words, n) stack of field elements.  A word decodes when some
+        codeword differs from it, outside the erased positions, in at most
+        (n - k - s) // 2 places, s = len(erasures); the erased symbols are
+        then restored too.  Words that do not decode come back as they are,
+        with zero errors.  Berlekamp-Massey on the erasure-modified
+        syndromes gives the error locator, a Chien search its roots, and
+        Forney's formula the errata values.
+
+        A word whose modified syndromes past the first s are all zero has
+        error locator 1: it skips Berlekamp-Massey and the Chien search, and
+        its errata values, on the erasures alone, are one product of its
+        first s modified syndromes with a matrix fixed by the erasures.
+        With no erasures the erasure locator is 1 and nothing is multiplied
+        by it.  Every word then meets the same final checks, and a word
+        they accept has one errata pattern within the radius, so the
+        outputs do not depend on the path that found it.
         """
         f = self.field
         Y = np.asarray(Y, dtype=np.int64)
@@ -111,50 +122,70 @@ class ReedSolomonCode:
         if s > r:
             raise ValueError("%d erasures exceed the %d parity symbols" % (s, r))
         radius = (r - s) // 2
-        X = Y.copy()
         E = f.zeros(Y.shape)
         syn = self.syndrome(Y)
         ok = ~np.any(syn != 0, axis=1)
         todo = np.nonzero(~ok)[0]
         if todo.size == 0:
-            return X, E, ok
+            return Y.copy(), E, ok
         S = syn[todo]
         nsyn = s + 2 * radius
-        # erasure locator Gamma(x) = prod (1 - p_j x), the same for every
-        # word, as a Toeplitz matrix: row i holds x^i Gamma(x), so a row of
-        # coefficients times it is that polynomial times Gamma
-        gamma = f.zeros(s + 1)
-        gamma[0] = 1
-        for point in self.points[erased]:
-            gamma[1:] = f.vsub(gamma[1:], f.vmul(point, gamma[:-1]))
-        lag = np.arange(nsyn + 1)[None, :] - np.arange(nsyn + 1)[:, None]
-        toep = np.where((lag >= 0) & (lag <= s), gamma.take(lag, mode="clip"), 0)
-        # modified syndromes Xi = Gamma * S mod x^nsyn
-        xi = gf.mat_mul(f, S[:, :nsyn], toep[:nsyn, :nsyn])
-        lam, deg = _berlekamp_massey(f, xi[:, s:])
-        lam = lam[:, : radius + 1]
-        # Chien search over the positions that are not erased
-        roots = (gf.mat_mul(f, lam, self.inv_pow[:, : radius + 1].T) == 0) & ~erased
-        # Forney, with errata locator Psi = Lambda * Gamma and evaluator
-        # Omega = Psi * S mod x^nsyn: on the errata,
-        # e_i = -p_i * Omega(1/p_i) / (Psi'(1/p_i) * dual_mult[i])
-        psi = gf.mat_mul(f, lam, toep[: radius + 1, : radius + s + 1])
-        omega = _poly_mul(f, lam, xi, nsyn)
-        dpsi = f.vmul(psi[:, 1:], self.deriv_mult[None, : radius + s])
-        num = gf.mat_mul(f, omega, self.inv_pow[:, :nsyn].T)
-        den = gf.mat_mul(f, dpsi, self.inv_pow[:, : radius + s].T)
-        den[den == 0] = 1  # on an erratum only in words the checks refuse
-        err = f.vmul(self.forney_mult, f.vmul(num, f.vinv(den)))
-        err[~(roots | erased)] = 0
+        err = f.zeros((todo.size, n))
+        good = np.ones(todo.size, dtype=bool)
+        if s:
+            # erasure locator Gamma(x) = prod (1 - p_j x), the same for every
+            # word, as a Toeplitz matrix: row i holds x^i Gamma(x), so a row
+            # of coefficients times it is that polynomial times Gamma
+            gamma = f.zeros(s + 1)
+            gamma[0] = 1
+            for point in self.points[erased]:
+                gamma[1:] = f.vsub(gamma[1:], f.vmul(point, gamma[:-1]))
+            lag = np.arange(nsyn + 1)[None, :] - np.arange(nsyn + 1)[:, None]
+            toep = np.where((lag >= 0) & (lag <= s), gamma.take(lag, mode="clip"), 0)
+            # modified syndromes Xi = Gamma * S mod x^nsyn
+            xi = gf.mat_mul(f, S[:, :nsyn], toep[:nsyn, :nsyn])
+        else:
+            xi = S[:, :nsyn]  # Gamma = 1
+        # words with Lambda = 1 (what Berlekamp-Massey returns on zeros):
+        # Forney with Psi = Gamma and Omega = Xi mod x^s, so on erasure i
+        # e_i = sum_j Xi_j p_i^-j * scale_i, where scale_i =
+        # -p_i / (Gamma'(1/p_i) * dual_mult[i]); Gamma' has no root at an
+        # erasure, since Gamma's roots are simple
+        plain = ~np.any(xi[:, s:], axis=1)
+        if s and plain.any():
+            ip = self.inv_pow[erased, :s]
+            dgamma = f.vmul(gamma[1:], self.deriv_mult[:s])
+            scale = f.vmul(self.forney_mult[erased],
+                           f.vinv(gf.mat_mul(f, ip, dgamma[:, None])[:, 0]))
+            forney = f.vmul(ip.T, scale[None, :])
+            err[np.ix_(plain, erased)] = gf.mat_mul(f, xi[plain, :s], forney)
+        rest = np.nonzero(~plain)[0]
+        if rest.size:
+            xr = xi[rest]
+            lam, deg = _berlekamp_massey(f, xr[:, s:])
+            lam = lam[:, : radius + 1]
+            # Chien search over the positions that are not erased
+            roots = (gf.mat_mul(f, lam, self.inv_pow[:, : radius + 1].T) == 0) & ~erased
+            # Forney, with errata locator Psi = Lambda * Gamma and evaluator
+            # Omega = Psi * S mod x^nsyn, of degree below s + radius in any
+            # word the checks accept: on the errata,
+            # e_i = -p_i * Omega(1/p_i) / (Psi'(1/p_i) * dual_mult[i])
+            psi = gf.mat_mul(f, lam, toep[: radius + 1, : radius + s + 1]) if s else lam
+            omega = _poly_mul(f, lam, xr, s + radius)
+            dpsi = f.vmul(psi[:, 1:], self.deriv_mult[None, : radius + s])
+            num = gf.mat_mul(f, omega, self.inv_pow[:, : s + radius].T)
+            den = gf.mat_mul(f, dpsi, self.inv_pow[:, : radius + s].T)
+            den[den == 0] = 1  # on an erratum only in words the checks refuse
+            e = f.vmul(self.forney_mult, f.vmul(num, f.vinv(den)))
+            e[~(roots | erased)] = 0
+            err[rest] = e
+            good[rest] = roots.sum(axis=1) == deg
         # the last two checks alone make any accepted word a correct decode
-        good = roots.sum(axis=1) == deg
         good &= np.count_nonzero(err[:, ~erased], axis=1) <= radius
         good &= ~np.any(self.syndrome(err) != S, axis=1)
-        sel = todo[good]
-        E[sel] = err[good]
-        X[sel] = f.vsub(Y[sel], E[sel])
-        ok[sel] = True
-        return X, E, ok
+        E[todo[good]] = err[good]
+        ok[todo] = good
+        return f.vsub(Y, E), E, ok
 
 
 def _poly_mul(f, a, b, size):
@@ -180,10 +211,12 @@ def _berlekamp_massey(f, S):
     for i in range(N):
         d = f.vdot(C[:, : i + 1], S[:, i::-1])
         grow = (d != 0) & (2 * L <= i)
-        prev = C
+        # the next B is x times C where the length grows, else x times B
+        shifted = f.zeros((m, N + 1))
+        shifted[:, 1:] = B[:, :-1]
+        np.copyto(shifted[:, 1:], C[:, :-1], where=grow[:, None])
         C = f.vsub(C, f.vmul(f.vmul(d, f.vinv(b))[:, None], B))
-        B = np.where(grow[:, None], prev, B)
-        B = np.concatenate([f.zeros((m, 1)), B[:, :-1]], axis=1)
+        B = shifted
         L = np.where(grow, i + 1 - L, L)
         b = np.where(grow, d, b)
     return C, L

@@ -84,6 +84,26 @@ def test_transmit_validation():
         session.transmit(BOB_TO_ALICE, np.full((1, 5), 9), PHASE_ROUND1)
 
 
+@pytest.mark.parametrize("bad", [7, -1, 2**63 - 1])
+@pytest.mark.parametrize("where", [0, 4, 9])
+def test_transmit_refuses_out_of_field_repetition_view(bad, where):
+    # a plain broadcast's view has column stride 0, so the range check reads
+    # its N symbols only; q, a negative symbol or a huge one in any row of
+    # it is still refused
+    session, f = make_session()
+    symbols = np.arange(10) % f.q
+    symbols[where] = bad
+    view = broadcast.broadcast_encode(5, symbols)
+    assert view.strides[1] == 0
+    with pytest.raises(ValueError):
+        session.transmit(ALICE_TO_BOB, view, PHASE_MASKED, public=True)
+    assert session.ledger.symbols() == 0 and not session.eve_view
+    symbols[where] = f.q - 1
+    delivered = session.transmit(ALICE_TO_BOB, broadcast.broadcast_encode(5, symbols),
+                                 PHASE_MASKED, public=True)
+    assert np.array_equal(delivered, np.repeat(symbols[:, None], 5, axis=1))
+
+
 class WrongShape(AdversaryStrategy):
     def tamper(self, direction, phase, observed, view):
         return observed[:, :1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psmt import gf, mds, rankmetric
-from helpers import contains, unique_decode
+from helpers import contains, unique_decode, unique_decode_oracle
 
 
 def all_codewords(code):
@@ -348,3 +348,47 @@ def test_mask_matches_vdot(pair):
         got = pair.mask(words)
         assert got.shape == shape[:-1]
         assert np.array_equal(got, f.vdot(pair.h, words))
+
+
+def _mixed_batch(code, rng, erased, per):
+    """per codewords for each mix of errors: every weight outside the
+    erasures up to the radius + 2, with none, one or all of the erased
+    symbols changed too; then per words whose only nonzero syndrome is the
+    last, which Berlekamp-Massey does not read when n - k - s is odd."""
+    f, n = code.field, code.n
+    live = [i for i in range(n) if i not in erased]
+    radius = (n - code.k - len(erased)) // 2
+    blocks = []
+    for outside in range(min(radius + 2, len(live)) + 1):
+        for inside in sorted({0, min(1, len(erased)), len(erased)}):
+            words = code.random_codeword(rng, per)
+            for row in words:
+                for pool, weight in ((live, outside), (erased, inside)):
+                    pos = rng.choice(pool, size=weight, replace=False) if weight else []
+                    row[pos] = f.vadd(row[pos], 1 + rng.integers(0, f.q - 1, size=weight))
+            blocks.append(words)
+    last = f.zeros(n - code.k)
+    last[-1] = 1
+    tail, _ = gf.solve_right(f, code.H, last)
+    blocks.append(f.vadd(code.random_codeword(rng, per), tail[None, :]))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("q,n,k,s", [
+    *((29, 23, k, s) for k in (4, 7, 12) for s in sorted({0, 4, 11, 23 - k})),
+    (2**31 - 1, 23, 7, 0), (2**31 - 1, 23, 7, 11),
+    (16, 15, 5, 0), (16, 15, 5, 3), (16, 15, 5, 10),
+    (27, 26, 8, 0), (27, 26, 8, 5), (27, 26, 8, 18),
+])
+def test_decoder_matches_reference_byte_for_byte(q, n, k, s):
+    # the decoder against the frozen Berlekamp-Massey-on-every-word
+    # reference, on batches that mix words with locator 1 and words without
+    code = mds.ReedSolomonCode(n, k, gf.field_of_order(q))
+    rng = np.random.default_rng([q % 1000, n, k, s])
+    erased = sorted(int(c) for c in rng.choice(n, size=s, replace=False))
+    Y = _mixed_batch(code, rng, erased, 8)
+    got = code.unique_decode_batch(Y, erasures=erased)
+    want = unique_decode_oracle(code, Y, erasures=erased)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert 0 < want[2].sum() < len(Y) or s == n - k

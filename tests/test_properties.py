@@ -1,5 +1,6 @@
-"""Property tests: field axioms, unique decoding within the radius, and
-syndrome linearity, over prime and extension fields.
+"""Property tests: field axioms, unique decoding within the radius, with
+and without erasures, and syndrome linearity, over prime and extension
+fields.
 
 Examples are derandomized, so every run checks the same cases."""
 
@@ -73,6 +74,39 @@ def test_unique_decode_within_radius(case):
     assert ok[0]
     assert np.array_equal(X[0], x)
     assert np.array_equal(E[0], err)
+
+
+@st.composite
+def code_erasures_and_word(draw):
+    """A Reed-Solomon code, a set of s erased positions, a codeword, and a
+    word that holds arbitrary values at the erasures and differs from the
+    codeword in at most (n - k - s) // 2 other places.  F_{2^31-1} is in
+    the mix: there an int64 sum holds two products (f.chunk == 2), and
+    vdot in Berlekamp-Massey works on entries it does not reduce first."""
+    f = draw(st.sampled_from(CODE_FIELDS + [gf.field(2147483647)]))
+    n = draw(st.integers(1, min(f.q - 1, 12)))
+    k = draw(st.integers(1, n))
+    code = mds.ReedSolomonCode(n, k, f)
+    erased = draw(st.lists(st.integers(0, n - 1), max_size=n - k, unique=True))
+    x = code.encode(draw(st.lists(elements(f), min_size=k, max_size=k)))
+    y = x.copy()
+    for i in erased:
+        y[i] = draw(elements(f))
+    live = [i for i in range(n) if i not in erased]
+    radius = (n - k - len(erased)) // 2
+    for i in draw(st.lists(st.sampled_from(live), max_size=radius, unique=True)):
+        y[i] = f.add(int(y[i]), draw(st.integers(1, f.q - 1)))
+    return code, erased, x, y
+
+
+@fixed
+@given(code_erasures_and_word())
+def test_errors_and_erasures_decode_to_the_codeword(case):
+    code, erased, x, y = case
+    X, E, ok = code.unique_decode_batch(y[None, :], erasures=erased)
+    assert ok[0]
+    assert np.array_equal(X[0], x)
+    assert np.array_equal(E[0], code.field.vsub(y, x))
 
 
 @fixed
