@@ -66,11 +66,6 @@ class CostLedger:
             (ph, d, c, c * self.bits_per_symbol) for (ph, d), c in self.counts.items()
         ]
 
-    def write_csv(self, fh):
-        fh.write("phase,direction,symbols,bits\n")
-        for ph, d, c, b in self.rows():
-            fh.write("%s,%s,%d,%d\n" % (ph, d, c, b))
-
 
 class Transcript:
     """Ordered record of every transmission: (direction, phase, public, sent,
@@ -119,6 +114,7 @@ class AdversaryStrategy:
     def __init__(self, corrupted, field):
         self.corrupted = tuple(sorted(set(int(c) for c in corrupted)))
         self.field = field
+        self._columns = np.array(self.corrupted, dtype=np.int64)
         self._mask = None
 
     @property
@@ -134,7 +130,12 @@ class AdversaryStrategy:
         pass
 
     def tap(self, arrays):
-        return np.take(arrays, self.corrupted, axis=1)
+        """Her columns of arrays, as a new array.  Indexing reads a
+        repetition view (column stride 0) where it lies, which np.take
+        would first copy out whole.  The result is column-major; every
+        reader takes its values in logical order (copy, tobytes, place), and
+        a copy to row order would hold a second block of her taps at once."""
+        return arrays[:, self._columns]
 
     def reply(self, direction, phase, taps, view):
         return self.tamper(direction, phase, taps, view)

@@ -88,6 +88,11 @@ class _FieldBase:
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
 
+    def vsubmul(self, c, a, b):
+        """c - a * b elementwise, broadcasting as numpy does: the update of
+        every elimination step and of Berlekamp-Massey."""
+        return self.vsub(c, self.vmul(a, b))
+
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -164,9 +169,14 @@ class PrimeField(_FieldBase):
     def vsub(self, a, b):
         return _mod(a - b, self.p)
 
+    def vsubmul(self, c, a, b):
+        """c - a * b with one reduction: for elements, |c - a*b| < p + (p-1)^2,
+        which int64 holds exactly since p < 2^31."""
+        return _mod(c - a * b, self.p)
+
     def vinv(self, a):
         a = np.asarray(a)
-        if np.any(a == 0):
+        if not a.all():
             raise ZeroDivisionError("inverse of zero in %r" % self)
         if self._inv_table is not None:
             return self._inv_table[a]
@@ -454,15 +464,12 @@ class ExtensionField(_FieldBase):
 
     def vinv(self, a):
         a = np.asarray(a)
-        if np.any(a == 0):
+        if not a.all():
             raise ZeroDivisionError("inverse of zero in %r" % self)
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def frob(self, a, i=1):
-        """a^(p^i), the i-fold Frobenius."""
-        return self.pow(a, self.p ** i)
-
     def vfrob(self, a, i=1):
+        """a^(p^i) elementwise, the i-fold Frobenius."""
         a = np.asarray(a, dtype=np.int64)
         e = self.p ** i
         nz = a != 0
@@ -536,7 +543,7 @@ def _eliminate(f, M, limit):
         M[r] = f.vmul(M[r], f.vinv(M[r, c : c + 1]))
         factor = M[:, c].copy()
         factor[r] = 0
-        M[...] = f.vsub(M, f.vmul(factor[:, None], M[r][None, :]))
+        M[...] = f.vsubmul(M, factor[:, None], M[r][None, :])
         pivots.append(c)
         r += 1
     return pivots

@@ -139,7 +139,7 @@ class ReedSolomonCode:
             gamma = f.zeros(s + 1)
             gamma[0] = 1
             for point in self.points[erased]:
-                gamma[1:] = f.vsub(gamma[1:], f.vmul(point, gamma[:-1]))
+                gamma[1:] = f.vsubmul(gamma[1:], point, gamma[:-1])
             lag = np.arange(nsyn + 1)[None, :] - np.arange(nsyn + 1)[:, None]
             toep = np.where((lag >= 0) & (lag <= s), gamma.take(lag, mode="clip"), 0)
             # modified syndromes Xi = Gamma * S mod x^nsyn
@@ -169,12 +169,13 @@ class ReedSolomonCode:
             # Forney, with errata locator Psi = Lambda * Gamma and evaluator
             # Omega = Psi * S mod x^nsyn, of degree below s + radius in any
             # word the checks accept: on the errata,
-            # e_i = -p_i * Omega(1/p_i) / (Psi'(1/p_i) * dual_mult[i])
+            # e_i = -p_i * Omega(1/p_i) / (Psi'(1/p_i) * dual_mult[i]),
+            # numerators and denominators from one product
             psi = gf.mat_mul(f, lam, toep[: radius + 1, : radius + s + 1]) if s else lam
             omega = _poly_mul(f, lam, xr, s + radius)
             dpsi = f.vmul(psi[:, 1:], self.deriv_mult[None, : radius + s])
-            num = gf.mat_mul(f, omega, self.inv_pow[:, : s + radius].T)
-            den = gf.mat_mul(f, dpsi, self.inv_pow[:, : radius + s].T)
+            num, den = np.split(gf.mat_mul(f, np.concatenate([omega, dpsi]),
+                                           self.inv_pow[:, : s + radius].T), 2)
             den[den == 0] = 1  # on an erratum only in words the checks refuse
             e = f.vmul(self.forney_mult, f.vmul(num, f.vinv(den)))
             e[~(roots | erased)] = 0
@@ -190,12 +191,18 @@ class ReedSolomonCode:
 
 def _poly_mul(f, a, b, size):
     """Row-wise products of the polynomials a and b (coefficient arrays,
-    constant term first), truncated to their first size coefficients."""
-    out = f.zeros((max(a.shape[0], b.shape[0]), size))
-    for i in range(min(a.shape[1], size)):
-        w = min(b.shape[1], size - i)
-        out[:, i : i + w] = f.vadd(out[:, i : i + w], f.vmul(a[:, i : i + 1], b[:, :w]))
-    return out
+    constant term first), truncated to their first size coefficients: one
+    inner product of a with the reversed windows of b, zero-padded on the
+    left, so coefficient j sums a_i b_{j-i}."""
+    k = min(a.shape[1], size)
+    w = min(b.shape[1], size)
+    padded = f.zeros((b.shape[0], k - 1 + size))
+    padded[:, k - 1 : k - 1 + w] = b[:, :w]
+    # windows[r, j, i] = padded[r, k - 1 + j - i], a view
+    step = padded.itemsize
+    windows = np.ndarray((b.shape[0], size, k), np.int64, buffer=padded, offset=(k - 1) * step,
+                         strides=(padded.strides[0], step, -step))
+    return f.vdot(a[:, None, :k], windows)
 
 
 def _berlekamp_massey(f, S):
@@ -210,15 +217,15 @@ def _berlekamp_massey(f, S):
     b = np.ones(m, dtype=np.int64)
     for i in range(N):
         d = f.vdot(C[:, : i + 1], S[:, i::-1])
-        grow = (d != 0) & (2 * L <= i)
+        grow = (d != 0) & (L <= i // 2)  # 2L <= i
         # the next B is x times C where the length grows, else x times B
         shifted = f.zeros((m, N + 1))
         shifted[:, 1:] = B[:, :-1]
         np.copyto(shifted[:, 1:], C[:, :-1], where=grow[:, None])
-        C = f.vsub(C, f.vmul(f.vmul(d, f.vinv(b))[:, None], B))
+        C = f.vsubmul(C, f.vmul(d, f.vinv(b))[:, None], B)
         B = shifted
-        L = np.where(grow, i + 1 - L, L)
-        b = np.where(grow, d, b)
+        np.subtract(i + 1, L, out=L, where=grow)
+        np.copyto(b, d, where=grow)
     return C, L
 
 

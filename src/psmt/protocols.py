@@ -10,17 +10,19 @@ published data, rebuilds Alice's received word, and strips the mask.
 Every protocol runs on one skeleton, _run: _prefix (round one, the
 pseudo-basis phase, the masked phase's secret-independent part) then
 _deliver (the one broadcast that depends on the secrets).  A Protocol
-description holds the rest: the round-one words beyond t+l, a pseudo-basis
-pair (Alice's sender, Bob's receiver) and the masked phase (an optional
-prefix step, payload, unmask).  The three pairs open alike, with the count
-and indices: plain (the words in full, w n^2 symbols), packed (a special
-word exposing corrupted channels, then the words in generalized broadcast,
-at most 4n^2 symbols) and the incremental warm-up.  BASIC is plain with one
-(syndrome || masked secret) row per secret, run by run_basic and, over
-Gabidulin codes, rankmetric.run_rank_protocol.  IMPROVED, run by
-run_improved, adds one word, the packed pair, packed syndromes and a double
-mask: 5n + O(n^2 / l) symbols per secret.  A runner's protocol attribute
-names its description; privacy_audit reads the word count there.
+description holds the rest: the round-one words beyond t+l, whether Alice
+unique-decodes her words, a pseudo-basis pair (Alice's sender, Bob's
+receiver) and the masked phase (an optional prefix step, payload, unmask).
+The three pairs open alike, with the count and indices: plain (the words in
+full, w n^2 symbols), packed (a special word exposing corrupted channels,
+then the words in generalized broadcast, at most 4n^2 symbols) and the
+incremental warm-up.  BASIC is plain with one (syndrome || masked secret)
+row per secret, run by run_basic and, over Gabidulin codes,
+rankmetric.run_rank_protocol.  IMPROVED, run by run_improved, adds one word,
+Alice's one unique decoding of her pseudo-basis and masked words, the packed
+pair, packed syndromes and a double mask: 5n + O(n^2 / l) symbols per
+secret.  A runner's protocol attribute names its description;
+privacy_audit reads the word count there.
 """
 
 from collections import namedtuple
@@ -174,10 +176,12 @@ def _publish(session, arrays, phase):
     return session.transmit(ALICE_TO_BOB, arrays, phase, public=True)
 
 
-# The pseudo-basis pairs.  Alice's sender (ctx, session, pb, width) publishes
-# her pseudo-basis and returns what was delivered; Bob's receiver (ctx,
-# delivered, originals, width) turns that into his error basis and the run's
-# pseudo-basis stats.  width is the number of base-q digits per word index.
+# The pseudo-basis pairs.  Alice's sender (ctx, session, pb, width, decoded)
+# publishes her pseudo-basis and returns what was delivered; decoded is her
+# unique decoding of the pseudo-basis words, or None in a protocol where she
+# decodes nothing.  Bob's receiver (ctx, delivered, originals, width) turns
+# that into his error basis and the run's pseudo-basis stats.  width is the
+# number of base-q digits per word index.
 
 def _announce(ctx, session, pb, width, extra=None):
     """Every pair's opening: the count w, then, if w > 0, the w indices and
@@ -214,7 +218,7 @@ def _error_basis(code, idx, words, originals):
     return pseudobasis.extract_error_basis(code, pb, originals)
 
 
-def send_plain(ctx, session, pb, width):
+def send_plain(ctx, session, pb, width, decoded):
     """The basic pair's sender: the words in plain broadcast, w n^2 symbols."""
     delivered = _announce(ctx, session, pb, width)
     if len(pb):
@@ -233,32 +237,33 @@ def receive_plain(ctx, delivered, originals, width):
     return _error_basis(ctx.code, idx, words, originals), stats
 
 
-def special_word_search(code, pb, t):
-    """A broadcast-worthy combination of pseudo-basis words whose true error
-    weight is at least min(w, t/3).
+def special_word_search(f, words, decoded, t):
+    """A broadcast-worthy combination of the w pseudo-basis words whose true
+    error weight is at least min(w, t/3).
 
+    decoded is Alice's unique decoding of the words, (codewords, errors, ok)
+    as unique_decode_batch returns it; the search decodes nothing itself.
     Tries, in order: a word that fails unique decoding; a word whose decoded
     error already has weight > t/3; an accumulated combination sum lambda_i *
     y^(i) whose accumulated decoded error passes weight t/3, choosing each
     lambda as the smallest nonzero value that keeps every previously hit
     coordinate nonzero; and finally the full accumulated combination.
 
-    Returns (word, mu) with mu the coefficient vector over pb order.
+    Returns (word, mu) with mu the coefficient vector over the words' order.
     """
-    f = code.field
-    w = len(pb)
-    X, E, ok = code.unique_decode_batch(pb.words)
+    w = len(words)
+    _, E, ok = decoded
     single = np.nonzero(~ok)[0]
     if not single.size:
         single = np.nonzero(3 * np.count_nonzero(E, axis=1) > t)[0]
     if single.size:
         mu = f.zeros(w)
         mu[single[0]] = 1
-        return pb.words[single[0]].copy(), mu
+        return words[single[0]].copy(), mu
     mu = f.zeros(w)
     mu[0] = 1
     acc_err = E[0].copy()
-    acc_word = pb.words[0].copy()
+    acc_word = words[0].copy()
     for i in range(1, w):
         if 3 * np.count_nonzero(acc_err) > t:
             break
@@ -272,11 +277,11 @@ def special_word_search(code, pb, t):
             lam += 1
         mu[i] = lam
         acc_err = f.vadd(acc_err, f.vmul(np.int64(lam), E[i]))
-        acc_word = f.vadd(acc_word, f.vmul(np.int64(lam), pb.words[i]))
+        acc_word = f.vadd(acc_word, f.vmul(np.int64(lam), words[i]))
     return acc_word, mu
 
 
-def send_packed(ctx, session, pb, width):
+def send_packed(ctx, session, pb, width, decoded):
     """The improved pair's sender: the combination coefficients after the
     indices, the special word in plain broadcast, then the words packed
     m-fold with m = min(w, floor(t/3)), each costing ceil(n / (m+1))
@@ -285,7 +290,7 @@ def send_packed(ctx, session, pb, width):
     w = len(pb)
     if not w:
         return _announce(ctx, session, pb, width)
-    special, mu = special_word_search(ctx.code, pb, t)
+    special, mu = special_word_search(f, pb.words, decoded, t)
     delivered = _announce(ctx, session, pb, width, mu)
     delivered["special"] = _publish(session, ctx.broadcast_encode(special), PHASE_PSEUDO_BASIS)
     m = min(w, t // 3)
@@ -319,7 +324,7 @@ def receive_packed(ctx, delivered, originals, width):
     return _error_basis(ctx.code, idx, words, originals), stats
 
 
-def send_incremental(ctx, session, pb, width):
+def send_incremental(ctx, session, pb, width, decoded):
     """A warm-up sender: the i-th word (1-based) goes out packed (i-1)-fold,
     costing ceil(n/i) arrays, since Bob will know i-1 corrupted channels by
     then."""
@@ -353,9 +358,10 @@ def receive_incremental(ctx, delivered, originals, width):
 
 
 # What the prefix leaves for the masked phase: Alice's masked words, their
-# syndromes and masks, Bob's codewords sent at his masked indices, his error
-# basis, the stats, and what the masked phase's prefix step added.
-_Prefix = namedtuple("_Prefix", "words syndromes mask originals eb stats extra")
+# syndromes and masks, her unique decoding of them (or None), Bob's codewords
+# sent at his masked indices, his error basis, the stats, and what the masked
+# phase's prefix step added.
+_Prefix = namedtuple("_Prefix", "words syndromes mask decoded originals eb stats extra")
 
 
 def _payload(ctx, state, secrets):
@@ -382,16 +388,17 @@ def _unmask(ctx, state, symbols):
 
 def _pack_syndromes(ctx, session, state):
     """The improved masked phase's prefix step.  Alice publishes her masked
-    words' syndromes packed ceil(t/2)-fold and unique-decodes the words for
-    her second mask; Bob's branch follows from the channels his error basis
-    exposes."""
+    words' syndromes packed ceil(t/2)-fold and takes her second masks from
+    their unique decoding, state.decoded, which the prefix made together
+    with her pseudo-basis words' decoding; Bob's branch follows from the
+    channels his error basis exposes."""
     t, f = ctx.params.t, ctx.params.field
     m = ctx.m_syn
     padded = f.zeros((len(state.words), -(-t // (m + 1)) * (m + 1)))
     padded[:, :t] = state.syndromes
     blocks = _publish(session, ctx.bcast_code(m).encode(padded.reshape(-1, m + 1)),
                       PHASE_MASKED)
-    decoded, _, ok = ctx.code.unique_decode_batch(state.words)
+    decoded, _, ok = state.decoded
     state.stats["support_size"] = len(state.eb.support)
     state.stats["branch"] = "syndromes" if 2 * len(state.eb.support) >= t else "direct"
     return state._replace(extra=(blocks, ctx.pair.mask(decoded), ok))
@@ -422,12 +429,13 @@ def _double_unmask(ctx, state, symbols):
     return f.vsub(zz[..., 0], ctx.pair.mask(f.vadd(state.originals, errors)))
 
 
-# A protocol: the round-one words it sends beyond t+l, its pseudo-basis pair,
+# A protocol: the round-one words it sends beyond t+l, whether Alice
+# unique-decodes her pseudo-basis and masked words, its pseudo-basis pair,
 # and its masked phase as an optional prefix step (ctx, session, state) ->
 # state, payload(ctx, state, secrets) and unmask(ctx, state, symbols).
-Protocol = namedtuple("Protocol", "extra_words send receive prepare payload unmask")
-BASIC = Protocol(0, send_plain, receive_plain, None, _payload, _unmask)
-IMPROVED = Protocol(1, send_packed, receive_packed, _pack_syndromes, _double_payload,
+Protocol = namedtuple("Protocol", "extra_words decodes send receive prepare payload unmask")
+BASIC = Protocol(0, False, send_plain, receive_plain, None, _payload, _unmask)
+IMPROVED = Protocol(1, True, send_packed, receive_packed, _pack_syndromes, _double_payload,
                     _double_unmask)
 
 
@@ -445,10 +453,16 @@ def _prefix(ctx, proto, session, X):
     # round 2 opens with Alice's pseudo-basis; Bob learns the errors on its words
     pb = pseudobasis.compute_pseudo_basis(ctx.code, Y)
     masked = _masked_indices(num_words, pb.indices, l)
-    eb, stats = proto.receive(ctx, proto.send(ctx, session, pb, width), X, width)
+    pb_decoded = decoded = None
+    if proto.decodes:
+        # Alice's one decoder call: her pseudo-basis words, then her masked words
+        both = ctx.code.unique_decode_batch(Y[pb.indices + masked])
+        pb_decoded = tuple(a[:len(pb)] for a in both)
+        decoded = tuple(a[len(pb):] for a in both)
+    eb, stats = proto.receive(ctx, proto.send(ctx, session, pb, width, pb_decoded), X, width)
     stats["masked_indices"] = masked
     words = Y[masked]
-    state = _Prefix(words, pb.all_syndromes[masked], ctx.pair.mask(words),
+    state = _Prefix(words, pb.all_syndromes[masked], ctx.pair.mask(words), decoded,
                     X[_masked_indices(num_words, eb.indices, l)], eb, stats, None)
     return proto.prepare(ctx, session, state) if proto.prepare else state
 

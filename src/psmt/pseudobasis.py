@@ -77,7 +77,7 @@ def compute_pseudo_basis(code, words):
         row = None
         while len(pivots) < nsyn:
             if row is not None:
-                rest = f.vsub(rest, f.vmul(rest[:, pc:pc + 1], row))
+                rest = f.vsubmul(rest, rest[:, pc:pc + 1], row)
             live = rest.any(axis=1).nonzero()[0]
             if not live.size:
                 break
@@ -87,7 +87,7 @@ def compute_pseudo_basis(code, words):
             row = f.vmul(row, f.vinv(row[pc:pc + 1]))
             w = len(pivots)
             if w:
-                basis[:w] = f.vsub(basis[:w], f.vmul(basis[:w, pc:pc + 1], row))
+                basis[:w] = f.vsubmul(basis[:w], basis[:w, pc:pc + 1], row)
             basis[w] = row
             pivots.append(pc)
             kept.append(int(nonzero[start + i]))

@@ -4,6 +4,9 @@ import numpy as np
 
 from psmt import gf
 
+# the fields the code-level tests run over: two primes and two extensions
+CODE_FIELDS = [gf.field(11), gf.field(13), gf.field(2, 4), gf.field(3, 3)]
+
 
 def elements(f):
     """Every element of f, as ints in index order."""

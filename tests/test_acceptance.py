@@ -55,7 +55,8 @@ def _check_special_word(params, ctx, res, report):
         report["special_violations"].append(
             ("indices-mismatch", params.n, params.l))
         return
-    special, mu = special_word_search(ctx.code, pb, params.t)
+    special, mu = special_word_search(
+        f, pb.words, ctx.code.unique_decode_batch(pb.words), params.t)
     expected = gf.mat_mul(f, mu[None, :], X[pb.indices])[0]
     weight = int(np.count_nonzero(f.vsub(special, expected)))
     report["special_checked"] += 1
@@ -166,7 +167,7 @@ def test_criterion_05():
             pb = pseudobasis.compute_pseudo_basis(code, f.vadd(x, errors))
             assert len(pb) == w
             session = ChannelSession(n, t, f)
-            delivered = protocols.send_incremental(ctx, session, pb, width)
+            delivered = protocols.send_incremental(ctx, session, pb, width, None)
             cost = session.ledger.counts.get(
                 (PHASE_PSEUDO_BASIS, ALICE_TO_BOB), 0)
             assert cost == sum(-(-n // i) * n for i in range(1, w + 1))

@@ -134,11 +134,7 @@ def test_ledger_counts_and_bits():
     assert led.counts[(PHASE_MASKED, ALICE_TO_BOB)] == 10
     assert led.symbols() == 25
     assert led.bits() == 75
-    fh = io.StringIO()
-    led.write_csv(fh)
-    lines = fh.getvalue().strip().split("\n")
-    assert lines[0] == "phase,direction,symbols,bits"
-    assert "round1,bob->alice,15,45" in lines
+    assert (PHASE_ROUND1, BOB_TO_ALICE, 15, 45) in led.rows()
 
 
 def test_empty_ledger():
@@ -260,6 +256,24 @@ def test_inject_matches_column_assignment(size):
             want[:, columns] = reply
             assert np.array_equal(got, want)
             assert np.array_equal(arrays, before)
+
+
+@pytest.mark.parametrize("size", [0, 1, 23])
+def test_tap_matches_take(size):
+    # her taps of a repetition view and of a plain block: byte-equal to
+    # np.take of her columns, in one contiguous block of their own
+    f = gf.field(53)
+    rng = np.random.default_rng(size + 100)
+    adv = AdversaryStrategy(rng.permutation(47)[:size].tolist(), f)
+    for rows in (0, 3, 2232):
+        for arrays in (broadcast.broadcast_encode(47, f.random(rng, rows)),
+                       f.random(rng, (rows, 47))):
+            taps = adv.tap(arrays)
+            want = np.take(arrays, adv.corrupted, axis=1)
+            assert taps.dtype == np.int64 and taps.shape == want.shape
+            assert taps.tobytes() == want.tobytes()
+            assert taps.flags.c_contiguous or taps.flags.f_contiguous
+            assert not np.shares_memory(taps, arrays)
 
 
 @pytest.mark.parametrize("adv_cls,kw", [(RandomNoiseAdversary, {"seed": 5}),

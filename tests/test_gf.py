@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psmt import gf
-from helpers import elements, sub
+from helpers import CODE_FIELDS, elements, sub
 
 
 # independent polynomial-reduction oracle for extension field products
@@ -142,11 +142,34 @@ def test_vector_ops_match_scalar(f):
 
 
 def test_zero_inverse_raises():
-    for f in (gf.field(5), gf.field(2, 3, (1, 1, 0, 1))):
+    for f in (gf.field(5), gf.field(2, 3, (1, 1, 0, 1)), gf.field(2, 4),
+              gf.field(2147483647)):
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
-        with pytest.raises(ZeroDivisionError):
-            f.vinv(np.array([1, 0, 2]))
+        for a in ([1, 0, 2], [[1, 2], [3, 0]], [0], 0):
+            with pytest.raises(ZeroDivisionError):
+                f.vinv(np.array(a))
+        assert f.vinv(np.array([], dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("f", CODE_FIELDS + [gf.field(2147483647)], ids=repr)
+def test_vsubmul_matches_vsub_of_vmul(f):
+    # c - a*b in one call, elementwise and broadcast as in the elimination
+    # and Berlekamp-Massey updates, with the extremes c = 0, a = b = q - 1;
+    # 1,800 entries, so F_p reduces by floor division, and rows of 9 by %
+    rng = np.random.default_rng(f.q % 1000)
+    top = f.q - 1
+    c = f.random(rng, (200, 9))
+    a = f.random(rng, (200, 1))
+    b = f.random(rng, (1, 9))
+    c[0], a[:2], b[0, :2] = 0, top, top
+    c[1, 0] = top
+    for args in ((c, a, b), (c[:, 0], a[:, 0], b[0, 0]), (c[0], np.int64(top), b[0])):
+        got = f.vsubmul(*args)
+        want = f.vsub(args[0], f.vmul(args[1], args[2]))
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.min() >= 0 and got.max() < f.q
 
 
 def test_pow_negative_exponent():
@@ -288,12 +311,15 @@ def test_mat_mul_agrees_across_backends():
 
 
 def test_frobenius_is_additive():
+    # vfrob(a, i) is a^(p^i), and the Frobenius map is additive
     f = gf.field(2, 4)
+    arr = np.arange(16, dtype=np.int64)
+    for i in (1, 3):
+        assert np.array_equal(f.vfrob(arr, i), [f.pow(int(v), 2**i) for v in arr])
+    frob = f.vfrob(arr)
     for a in elements(f):
         for b in elements(f):
-            assert f.frob(f.add(a, b)) == f.add(f.frob(a), f.frob(b))
-    arr = np.arange(16, dtype=np.int64)
-    assert np.array_equal(f.vfrob(arr), np.array([f.frob(int(v)) for v in arr]))
+            assert frob[f.add(a, b)] == f.add(int(frob[a]), int(frob[b]))
 
 
 def test_prime_field_size_limit():

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from psmt import gf, mds, rankmetric
-from helpers import contains, unique_decode, unique_decode_oracle
+from helpers import (
+    _berlekamp_massey_oracle,
+    _poly_mul_oracle,
+    contains,
+    unique_decode,
+    unique_decode_oracle,
+)
 
 
 def all_codewords(code):
@@ -392,3 +398,42 @@ def test_decoder_matches_reference_byte_for_byte(q, n, k, s):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert 0 < want[2].sum() < len(Y) or s == n - k
+
+
+@pytest.mark.parametrize("q,rows,steps", [(29, 529, 10), (29, 66, 14), (16, 11, 10),
+                                          (27, 40, 7), (2**31 - 1, 40, 12)])
+def test_berlekamp_massey_matches_frozen_oracle(q, rows, steps):
+    # connection polynomials and lengths byte for byte: random rows, rows
+    # that are all zero, rows that are zero but for their last syndrome,
+    # and rows of one geometric sequence (length 1)
+    f = gf.field_of_order(q)
+    rng = np.random.default_rng([q % 1000, rows, steps])
+    S = f.random(rng, (rows, steps))
+    S[:3] = 0
+    S[3:5, -1] = 1 + rng.integers(0, f.q - 1, size=2)
+    S[3:5, :-1] = 0
+    ratio = np.int64(f.q - 1)
+    S[5, 0] = 1
+    for j in range(1, steps):
+        S[5, j] = f.vmul(S[5, j - 1], ratio)
+    got = mds._berlekamp_massey(f, S)
+    want = _berlekamp_massey_oracle(f, S)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert list(got[1][:6]) == [0, 0, 0, steps, steps, 1]
+
+
+@pytest.mark.parametrize("q", [29, 16, 27, 2**31 - 1])
+def test_poly_mul_matches_loop_reference(q):
+    # truncated row-wise products, with a longer or shorter than the
+    # truncation and b shorter than it, against the frozen coefficient loop
+    f = gf.field_of_order(q)
+    rng = np.random.default_rng(q % 1000)
+    for rows, na, nb, size in ((540, 6, 10, 5), (66, 6, 14, 10), (1, 3, 4, 4),
+                               (5, 1, 3, 2), (3, 4, 2, 6), (7, 9, 9, 3)):
+        a, b = f.random(rng, (rows, na)), f.random(rng, (rows, nb))
+        a[0], b[-1] = f.q - 1, f.q - 1
+        got = mds._poly_mul(f, a, b, size)
+        want = _poly_mul_oracle(f, a, b, size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

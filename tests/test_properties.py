@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from psmt import gf, mds
+from helpers import CODE_FIELDS
 
 FIELDS = [
     gf.field(2),
@@ -19,7 +20,6 @@ FIELDS = [
     gf.field(2, 8),
     gf.field(5, 2),
 ]
-CODE_FIELDS = [gf.field(11), gf.field(13), gf.field(2, 4), gf.field(3, 3)]
 
 fixed = settings(derandomize=True, deadline=None)
 

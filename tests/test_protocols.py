@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psmt import gf, protocols, pseudobasis
+from psmt import gf, mds, protocols, pseudobasis
 from psmt.channels import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
@@ -184,6 +184,40 @@ def test_improved_branches_both_taken():
     assert 2 * res.stats["support_size"] >= p.t
 
 
+def test_decoder_calls_per_session(monkeypatch):
+    # Alice decodes her pseudo-basis and masked words in one call; Bob then
+    # decodes the packed words and the packed syndromes, with the exposed
+    # channels erased.  Without errors only Alice's call is left, and the
+    # basic protocol decodes nothing.
+    p = params_for(11, l=3)
+    calls, words = [], []
+    decode = mds.ReedSolomonCode.unique_decode_batch
+
+    def counted(code, Y, erasures=()):
+        calls.append((len(Y), len(erasures)))
+        words.append(np.array(Y))
+        return decode(code, Y, erasures)
+
+    monkeypatch.setattr(mds.ReedSolomonCode, "unique_decode_batch", counted)
+    rng = np.random.default_rng(3)
+    adv = TargetedSyndromeAdversary((0, 1, 2, 3, 4), p.field)
+    res = run_improved(p, np.array([3, 4, 5]), adversary=adv, rng=rng, record_transcript=True)
+    assert np.array_equal(res.secrets, [3, 4, 5])
+    assert res.stats["w"] == 5 and res.stats["branch"] == "syndromes"
+    assert len(calls) == 3
+    assert calls[0] == (5 + 3, 0)
+    received = res.transcript.records[0][4]
+    rows = res.stats["pb_indices"] + res.stats["masked_indices"]
+    assert np.array_equal(words[0], received[rows])
+    assert calls[1][1] >= 1 and calls[2][1] == 5
+    calls.clear()
+    res = run_improved(p, np.array([3, 4, 5]), rng=rng)
+    assert res.stats["w"] == 0 and calls == [(3, 0)]
+    calls.clear()
+    run_basic(p, np.array([3, 4, 5]), adversary=adv, rng=rng)
+    assert calls == []
+
+
 def test_improved_small_corruption_example():
     # four active channels at n=13: w = 4 and the packed words go out 3-fold
     t = 6
@@ -217,7 +251,7 @@ def test_special_word_undecodable_case():
     e = f.zeros(11)
     e[[0, 1, 2]] = 1  # weight 3 beats the radius-2 decoder everywhere
     x, pb = _pb_with_errors(code, [e])
-    special, mu = special_word_search(code, pb, p.t)
+    special, mu = special_word_search(f, pb.words, code.unique_decode_batch(pb.words), p.t)
     assert np.array_equal(special, pb.words[0])
     assert np.array_equal(mu, [1])
     true_err = f.vsub(special, x[0])
@@ -231,7 +265,7 @@ def test_special_word_heavy_decodable_case():
     e = f.zeros(11)
     e[[4, 7]] = [2, 3]  # decodable, but 3 * 2 > t
     x, pb = _pb_with_errors(code, [e])
-    special, mu = special_word_search(code, pb, p.t)
+    special, mu = special_word_search(f, pb.words, code.unique_decode_batch(pb.words), p.t)
     assert np.array_equal(special, pb.words[0])
     true_err = f.vsub(special, x[0])
     assert 3 * np.count_nonzero(true_err) > p.t
@@ -249,7 +283,7 @@ def test_special_word_accumulation_case():
     e2[9] = 1
     x, pb = _pb_with_errors(code, [e1, e2])
     assert len(pb) == 2
-    special, mu = special_word_search(code, pb, p.t)
+    special, mu = special_word_search(f, pb.words, code.unique_decode_batch(pb.words), p.t)
     assert np.count_nonzero(mu) == 2
     recon = gf.mat_mul(f, mu[None, :], pb.words)[0]
     assert np.array_equal(recon, special)
