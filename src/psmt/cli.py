@@ -167,8 +167,6 @@ def _trial(params, ctx, runner, adv_factory, spec, k):
 
 
 def cmd_run(spec):
-    if spec.trials < 1:
-        raise SpecError("trials must be at least 1, got %d" % spec.trials)
     if spec.protocol == "rank":
         params = _rank_spec(spec)
         ctx = RankContext(params)
@@ -431,6 +429,8 @@ def main(argv=None):
     spec = _spec_from_args(args)
     handler = {"run": cmd_run, "audit": cmd_audit, "bench": cmd_bench}
     try:
+        if spec.trials < 1:  # run and bench; audit keeps the default
+            raise SpecError("trials must be at least 1, got %d" % spec.trials)
         return handler[args.command](spec)
     except ValueError as e:  # SpecError included
         print("error: %s" % e, file=sys.stderr)

@@ -22,7 +22,8 @@ rankmetric.run_rank_protocol.  IMPROVED, run by run_improved, adds one word,
 Alice's one unique decoding of her pseudo-basis and masked words, the packed
 pair, packed syndromes and a double mask: 5n + O(n^2 / l) symbols per
 secret.  A runner's protocol attribute names its description;
-privacy_audit reads the word count there.
+privacy_audit reads the word count there and runs the secret-independent
+prefix once per choice of codewords.
 """
 
 from collections import namedtuple
@@ -540,90 +541,108 @@ def privacy_audit(params, runner, adversary, budget=DEFAULT_AUDIT_BUDGET):
     runs the protocol, and compares the multiset of adversary views across
     secret values: perfect privacy holds iff the multisets coincide.  Every
     run is also required to deliver its secrets exactly.  Raises
-    AuditBudgetExceeded (reporting the exact need) rather than sampling."""
-    ctx = ProtocolContext(params)
-    num_words = params.t + params.l + getattr(runner, "protocol", BASIC).extra_words
-    return _exhaustive_audit(ctx.code, num_words, params.l,
-                            _runner_step(params, runner, adversary, ctx), budget)
+    AuditBudgetExceeded (reporting the exact need) rather than sampling.
+    A runner that names its protocol (run_basic, run_improved, a
+    functools.wraps wrapper of either) runs one shared prefix per choice of
+    codewords and is checked against itself on the first choice only; any
+    other runner is called for every run."""
+    return _audit(params, runner, adversary, ProtocolContext(params), budget)
 
 
-def _runner_step(params, runner, adversary, ctx):
-    """Audit step that runs the protocol afresh for every secret value."""
-
-    def step(X, secrets, first):
-        for s in secrets:
-            result = runner(params, s, adversary, bob_words=X, context=ctx)
-            yield result.secrets, result.view_key
-
-    return step
+def _runner_step(params, runner, adversary, ctx, X, secrets, first):
+    """Audit step that calls the runner afresh for every secret value."""
+    for s in secrets:
+        result = runner(params, s, adversary, bob_words=X, context=ctx)
+        yield result.secrets, result.view_key
 
 
-def _shared_prefix_step(params, runner, adversary, ctx):
-    """Audit step for a strategy whose state stays put after the first
-    transmission (a replay_safe one).  _prefix runs once per choice of
-    codewords; each secret value then gets only the masked phase, on the view
-    restored to where the prefix left it, so the strategy sees exactly what it
-    would in a fresh run.  Payloads and unmasking take one batched call each.
-    On the first choice every secret is also checked against a fresh run."""
-    n, t, f = params.n, params.t, params.field
-    proto = getattr(runner, "protocol", BASIC)
-
-    def step(X, secrets, first):
-        session = ChannelSession(n, t, f, adversary)
-        state = _prefix(ctx, proto, session, X)
-        view = session.eve_view
-        base = len(view)
-        prefix = view_bytes(view)
-        num = secrets.shape[0]
-        enc = ctx.broadcast_encode(proto.payload(ctx, state, secrets))
-        taps = adversary.tap(enc).reshape(num, -1, adversary.t)
-        enc = enc.reshape(num, -1, n)
-        delivered, keys = [], []
-        for s in range(num):
-            del view[base:]
-            delivered.append(session.intercept(ALICE_TO_BOB, PHASE_MASKED, enc[s], taps[s]))
-            view.append(("public", ALICE_TO_BOB, PHASE_MASKED, enc[s]))
-            keys.append(prefix + view_bytes(view[base:]))
-        outs = proto.unmask(ctx, state, ctx.broadcast_decode(np.concatenate(delivered)))
-        for s in range(num):
-            yield outs[s], keys[s]
-            if first:
-                ref = runner(params, secrets[s], adversary, bob_words=X, context=ctx)
-                if ref.view_key != keys[s] or not np.array_equal(ref.secrets, outs[s]):
-                    raise RuntimeError("shared-round audit path diverged from a fresh run")
-
-    return step
+def _shared_prefix_step(params, runner, adversary, ctx, X, secrets, first):
+    """Audit step for a runner naming its protocol: _shared_runs, checked on
+    the first choice against the runner's own runs by secrets, view key and
+    the masked block their transcript delivered, the adversary's reply."""
+    outs, keys, blocks = _shared_runs(ctx, runner.protocol, adversary, X, secrets)
+    for s in range(secrets.shape[0]):
+        yield outs[s], keys[s]
+        if first:
+            ref = runner(params, secrets[s], adversary, bob_words=X, context=ctx,
+                         record_transcript=True)
+            if (ref.view_key != keys[s] or not np.array_equal(ref.secrets, outs[s])
+                    or not np.array_equal(ref.transcript.records[-1][4], blocks[s])):
+                raise RuntimeError("shared-prefix audit path diverged from a fresh run")
 
 
-def _exhaustive_audit(code, num_words, l, step, budget):
-    """The enumeration behind both privacy audits.
+def _shared_runs(ctx, proto, adversary, X, secrets):
+    """Runs of proto on Bob's codewords X, one per row of secrets, sharing
+    one _prefix.  Each row gets only the masked phase, on the view cut back
+    to where the prefix left it and with the adversary put back in her state
+    of then, so it is exactly the fresh run.  Returns, per row, the secrets
+    Bob recovers, the view key and the masked block delivered."""
+    n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
+    session = ChannelSession(n, t, f, adversary)
+    state = _prefix(ctx, proto, session, X)
+    view = session.eve_view
+    base = len(view)
+    prefix = view_bytes(view)
+    num = secrets.shape[0]
+    sent = ctx.broadcast_encode(proto.payload(ctx, state, secrets))
+    if session.active:
+        restore = _snapshot(adversary)
+        taps = adversary.tap(sent).reshape(num, -1, adversary.t)
+    sent = sent.reshape(num, -1, n)
+    blocks, keys = [], []
+    for s in range(num):
+        del view[base:]
+        block = sent[s]
+        if session.active:
+            restore()
+            block = session.intercept(ALICE_TO_BOB, PHASE_MASKED, block, taps[s])
+        view.append(("public", ALICE_TO_BOB, PHASE_MASKED, sent[s]))
+        blocks.append(block)
+        keys.append(b"" if adversary is None else prefix + view_bytes(view[base:]))
+    outs = proto.unmask(ctx, state, ctx.broadcast_decode(np.concatenate(blocks)))
+    return outs, keys, blocks
 
-    For each choice X of num_words codewords of code, step(X, secrets, first)
-    yields, one secret value at a time and in the order of the rows of
-    secrets, the secrets delivered and the adversary's view key; first is
-    True on the first choice only.  Stops at the first delivery failure, so
-    a lazy step runs nothing past it."""
-    f = code.field
-    choices = (f.q**code.k) ** num_words
-    num_secrets = f.q**l
+
+def _snapshot(adversary):
+    """A function putting the adversary back in her present state: a shallow
+    copy of her attributes, for state she reassigns (a replay memory), and
+    the state of each numpy Generator among them (her noise)."""
+    attrs = dict(vars(adversary))
+    gens = [(g, g.bit_generator.state) for g in attrs.values() if isinstance(g, np.random.Generator)]
+
+    def restore():
+        adversary.__dict__ = dict(attrs)
+        for g, state in gens:
+            g.bit_generator.state = state
+
+    return restore
+
+
+def _audit(params, runner, adversary, ctx, budget):
+    """The enumeration behind both privacy audits, over ctx's code.  For
+    each choice X of Bob's codewords the step yields, one secret value at a
+    time in the order of the rows of secrets, the secrets delivered and the
+    view key; the audit stops at the first delivery failure, so a lazy step
+    runs nothing past it.  A runner naming no protocol counts as basic and
+    is called for every run."""
+    step = _shared_prefix_step if hasattr(runner, "protocol") else _runner_step
+    code, l, q = ctx.code, params.l, params.field.q
+    num_words = params.t + l + getattr(runner, "protocol", BASIC).extra_words
+    nmsg = q**code.k
+    choices = nmsg**num_words
+    num_secrets = q**l
     required = choices * num_secrets
     if required > budget:
         raise AuditBudgetExceeded(required, budget)
     views = {}  # view bytes -> index, one table for all secret values
     counters = [dict() for _ in range(num_secrets)]
-    secrets = np.array([[(s // f.q**j) % f.q for j in range(l)]
-                        for s in range(num_secrets)], dtype=np.int64)
-    word_table = _all_codewords(code)
-    nmsg = word_table.shape[0]
-    digits = np.zeros(num_words, dtype=np.int64)
+    secrets = _encode_indices(range(num_secrets), l, q).reshape(num_secrets, l)
+    word_table = code.encode(_encode_indices(range(nmsg), code.k, q).reshape(nmsg, code.k))
     runs = 0
     for choice in range(choices):
-        v = choice
-        for i in range(num_words):
-            digits[i] = v % nmsg
-            v //= nmsg
-        X = word_table[digits]
-        for s, (out, key) in enumerate(step(X, secrets, choice == 0)):
+        X = word_table[_encode_indices([choice], num_words, nmsg)]
+        first = choice == 0
+        for s, (out, key) in enumerate(step(params, runner, adversary, ctx, X, secrets, first)):
             runs += 1
             if not np.array_equal(out, secrets[s]):
                 return AuditReport(False, runs, 0,
@@ -640,16 +659,6 @@ def _exhaustive_audit(code, num_words, l, step, budget):
                 % (s, _distinguishing_view(base, counters[s], list(views))))
     return AuditReport(True, runs, len(base), "all %d secret values give identical "
                        "view multisets" % num_secrets)
-
-
-def _all_codewords(code):
-    """Stack of every codeword, message index varying fastest in digit 0."""
-    f = code.field
-    nmsg = f.q**code.k
-    msgs = np.zeros((nmsg, code.k), dtype=np.int64)
-    for j in range(code.k):
-        msgs[:, j] = (np.arange(nmsg) // f.q**j) % f.q
-    return code.encode(msgs)
 
 
 def audit_adversaries(params, seed=0):

@@ -21,9 +21,8 @@ every extracted and recovered error, in the code's own metric.
 The rest is shared with the Hamming setting too: transmissions run over
 channels.ChannelSession (GeneralizedAdversary supplies the taps arrays .
 lambda^T and the injection delta . mu), the privacy pair is an
-mds.PrivacyPair, and rank_privacy_audit uses the enumeration of
-privacy_audit, running the secret-independent prefix once per choice of
-codewords for replay_safe strategies.
+mds.PrivacyPair, and rank_privacy_audit is privacy_audit's body, running
+the secret-independent prefix once per choice of codewords.
 """
 
 import numpy as np
@@ -35,10 +34,8 @@ from .protocols import (
     BASIC,
     DEFAULT_AUDIT_BUDGET,
     SessionParams,
-    _exhaustive_audit,
+    _audit,
     _run,
-    _runner_step,
-    _shared_prefix_step,
 )
 
 DECODE_TABLE_LIMIT = 1 << 16
@@ -252,15 +249,9 @@ class GeneralizedAdversary:
 
     Per transmission she sees the lambda-combinations of every array and
     answers with delta values; the channel adds sum_i delta[b, i] * mu^(i) to
-    array b.  Subclasses choose deltas.
-
-    replay_safe marks strategies whose deltas() never mutates internal state
-    after the first transmission of a session.  The privacy audit exploits it
-    to share all secret-independent traffic between secret values; leave it
-    False for anything with a stream or counter."""
+    array b.  Subclasses choose deltas."""
 
     name = "rank-passive"
-    replay_safe = False
 
     def __init__(self, lambdas, mus, f):
         self.lambdas = np.asarray(lambdas, dtype=np.int64)
@@ -300,14 +291,13 @@ class GeneralizedAdversary:
 
 
 class RankPassiveAdversary(GeneralizedAdversary):
-    replay_safe = True
+    pass
 
 
 class RankFixedTamperAdversary(GeneralizedAdversary):
     """Constant deltas every transmission: delta_i = i + 1."""
 
     name = "rank-fixed-tamper"
-    replay_safe = True
 
     def deltas(self, direction, phase, taps, view):
         out = np.zeros(taps.shape, dtype=np.int64)
@@ -320,7 +310,6 @@ class RankTapReplayAdversary(GeneralizedAdversary):
     tampering varies with what was actually sent)."""
 
     name = "rank-tap-replay"
-    replay_safe = True
 
     def __init__(self, lambdas, mus, f):
         super().__init__(lambdas, mus, f)
@@ -413,6 +402,9 @@ def run_rank_protocol(params, secrets, adversary=None, rng=None, bob_words=None,
     return _run(ctx, BASIC, secrets, adversary, rng, bob_words, record_transcript)
 
 
+run_rank_protocol.protocol = BASIC
+
+
 def rank_audit_adversaries(params, seed=0):
     """Deterministic strategies for the rank privacy audit: passive, constant
     tamper, and tap replay, with weight-2 lambda and mu vectors."""
@@ -436,9 +428,4 @@ def rank_privacy_audit(params, adversary, budget=DEFAULT_AUDIT_BUDGET):
     """Exhaustive perfect-privacy check of run_rank_protocol against one
     deterministic generalized strategy; same enumeration and verdicts as the
     coordinate-model audit."""
-    ctx = RankContext(params)
-    if getattr(adversary, "replay_safe", False) and adversary.t > 0:
-        step = _shared_prefix_step(params, run_rank_protocol, adversary, ctx)
-    else:
-        step = _runner_step(params, run_rank_protocol, adversary, ctx)
-    return _exhaustive_audit(ctx.code, params.t + params.l, params.l, step, budget)
+    return _audit(params, run_rank_protocol, adversary, RankContext(params), budget)

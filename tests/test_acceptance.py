@@ -126,6 +126,11 @@ def test_criterion_02():
         for adv in audit_adversaries(p):
             rep = privacy_audit(p, runner, adv)
             assert rep.passed, (runner.__name__, adv.name, rep.detail)
+    # l = 2: the first size at which two secrets share one pseudo-basis
+    p2 = SessionParams(3, 1, 2, gf.field(5))
+    for adv in audit_adversaries(p2):
+        rep = privacy_audit(p2, run_basic, adv)
+        assert rep.passed and rep.runs == 390625, (adv.name, rep.detail)
     rp = RankParams(3, 1, 1, gf.field(2, 4))
     for adv in rank_audit_adversaries(rp):
         rep = rank_privacy_audit(rp, adv)

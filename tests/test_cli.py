@@ -138,6 +138,15 @@ def test_bench_empty_sweep_writes_header(tmp_path):
     assert len(lines) == 2  # schema line and header only
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_zero_trials_refused(tmp_path, capsys, command):
+    # no trial means no measured total: refused before anything is written
+    rc = main([command, "--n", "5", "--trials", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_bad_l_token(tmp_path, capsys):
     rc = main(["bench", "--n", "5", "--l", "square", "--out", str(tmp_path)])
     assert rc == 2

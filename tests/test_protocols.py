@@ -444,6 +444,36 @@ def test_audit_of_wrapped_improved_refuses():
         privacy_audit(p, wrapper, PassiveAdversary((0,), p.field))
 
 
+def test_audit_runner_calls_by_path():
+    # a plain function is called once per run, which the benchmark's
+    # recording runner counts on; a runner naming its protocol shares one
+    # prefix per choice and is called only for the first choice's q^l
+    # secrets, as the check.  Both paths give one report, also with no
+    # adversary (one empty view) and with one on no channel (five views,
+    # the public payloads alone)
+    p = params_for(3, l=1, q=5)
+    calls = []
+
+    def plain(*args, **kwargs):
+        calls.append("plain")
+        return run_basic(*args, **kwargs)
+
+    @functools.wraps(run_basic)
+    def named(*args, **kwargs):
+        calls.append("named")
+        return run_basic(*args, **kwargs)
+
+    views = []
+    for adv in audit_adversaries(p) + [None, PassiveAdversary((), p.field)]:
+        calls.clear()
+        rep = privacy_audit(p, named, adv)
+        assert rep == privacy_audit(p, plain, adv)
+        assert rep.passed and rep.runs == 3125
+        assert calls.count("plain") == 3125 and calls.count("named") == 5
+        views.append(rep.num_views)
+    assert views == [125, 625, 525, 605, 1, 5]
+
+
 @pytest.mark.parametrize("q", [16, 27, 256])
 def test_delivery_sweep_extension_fields(q):
     n, t, l = 7, 3, 7

@@ -12,19 +12,21 @@ from psmt.channels import (
     PHASE_PSEUDO_BASIS,
     PHASE_ROUND1,
     AdversaryFault,
+    AdversaryStrategy,
     ChannelSession,
     view_bytes,
 )
 from psmt.pseudobasis import compute_pseudo_basis, extract_error_basis, recover_error
 from psmt.protocols import (
-    BASIC,
     AuditBudgetExceeded,
+    ProtocolContext,
     ProtocolViolation,
     SessionParams,
-    _deliver,
     _index_width,
-    _prefix,
+    _shared_runs,
+    audit_adversaries,
     run_basic,
+    run_improved,
 )
 from psmt.rankmetric import (
     GabidulinCode,
@@ -331,29 +333,52 @@ def test_noise_adversary_runs_reproduce():
     assert np.array_equal(a.secrets, b.secrets)
 
 
+class CountingAdversary(AdversaryStrategy):
+    """Adds the number of transmissions she has seen to her channels: state
+    she reassigns, which the audit must put back for every secret value."""
+
+    name = "counting"
+
+    def reset(self):
+        self.count = 0
+
+    def tamper(self, direction, phase, observed, view):
+        self.count += 1
+        return self.field.vadd(observed, self.count % self.field.q)
+
+
 def test_shared_round_path_matches_fresh_runs():
-    # the audit reuses round one and the pseudo-basis traffic across secret
-    # values; for every replay-safe strategy that shortcut must reproduce the
-    # fresh per-secret runs byte for byte
-    p = rank_params()
-    f = p.field
-    ctx = RankContext(p)
-    for adv in rank_audit_adversaries(p):
-        assert adv.replay_safe
-        for choice_seed in range(3):
-            X = ctx.code.random_codeword(np.random.default_rng(choice_seed), 2)
-            session = ChannelSession(p.n, p.t, f, adv)
-            state = _prefix(ctx, BASIC, session, X)
-            base = len(session.eve_view)
-            prefix = view_bytes(session.eve_view)
-            for s in range(16):
-                del session.eve_view[base:]
-                secret = np.array([s], dtype=np.int64)
-                out = _deliver(ctx, BASIC, session, state, secret)
-                vk = prefix + view_bytes(session.eve_view[base:])
-                fresh = run_rank_protocol(p, secret, adversary=adv, bob_words=X)
-                assert np.array_equal(out, fresh.secrets)
-                assert vk == fresh.view_key
+    # the audit runs round one and the pseudo-basis phase once per choice of
+    # codewords and only the masked phase per secret value, with the
+    # adversary put back in her post-prefix state each time; for every
+    # strategy, Hamming and rank, that must reproduce the fresh runs byte for
+    # byte: the secrets, the view key, and the masked block delivered, which
+    # carries her reply (a view holds only taps and public payloads)
+    hp, hp2 = (SessionParams(3, 1, l, gf.field(5)) for l in (1, 2))
+    rp = rank_params()
+    noise = random_generalized_adversary(3, 1, rp.field, np.random.default_rng(8))
+    counting = CountingAdversary((0,), hp.field)
+    cases = [
+        (hp, ProtocolContext(hp), run_basic, audit_adversaries(hp) + [counting]),
+        (hp, ProtocolContext(hp), run_improved, audit_adversaries(hp) + [counting]),
+        (hp2, ProtocolContext(hp2), run_basic, audit_adversaries(hp2)),
+        (rp, RankContext(rp), run_rank_protocol, rank_audit_adversaries(rp) + [noise]),
+    ]
+    for p, ctx, runner, advs in cases:
+        proto = runner.protocol
+        secrets = np.array(list(itertools.product(range(p.field.q), repeat=p.l)), dtype=np.int64)
+        for adv in advs:
+            for choice_seed in range(3):
+                rng = np.random.default_rng(choice_seed)
+                X = ctx.code.random_codeword(rng, p.t + p.l + proto.extra_words)
+                outs, keys, blocks = _shared_runs(ctx, proto, adv, X, secrets)
+                for s, secret in enumerate(secrets):
+                    fresh = runner(p, secret, adv, bob_words=X, context=ctx,
+                                   record_transcript=True)
+                    assert np.array_equal(outs[s], fresh.secrets), (adv.name, s)
+                    assert keys[s] == fresh.view_key, (adv.name, s)
+                    delivered = fresh.transcript.records[-1][4]
+                    assert np.array_equal(blocks[s], delivered), (adv.name, s)
 
 
 def test_rank_audit_budget_refusal():
@@ -404,8 +429,6 @@ def test_run_rank_protocol_refuses_wrong_bob_words():
 
 class BadDeltas(GeneralizedAdversary):
     """Answers the masked phase with block(taps); zero deltas before."""
-
-    replay_safe = True
 
     def __init__(self, lambdas, mus, f, block):
         super().__init__(lambdas, mus, f)
