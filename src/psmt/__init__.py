@@ -9,8 +9,13 @@ Library layout:
 - channels: the channel session for both adversary models (t channels, or t
   eavesdrop and tamper vectors), transcripts, cost ledgers.
 - protocols: the two-round transmission protocols and the privacy audit.
-- rankmetric: Gabidulin codes and the protocol against generalized adversaries.
+- rankmetric: Gabidulin codes, the rank broadcast, generalized adversaries
+  and RankParams, the params of the rank setting.
 - cli: command line front end (run / audit / bench).
+
+The params choose the setting: SessionParams for the Hamming one, RankParams
+for the rank one.  run_basic (alias run_rank_protocol) and privacy_audit
+serve both; run_improved has no rank variant yet.
 """
 
 from .gf import field, field_of_order, PrimeField, ExtensionField
@@ -21,7 +26,6 @@ from .rankmetric import (
     GabidulinCode,
     RankParams,
     run_rank_protocol,
-    rank_privacy_audit,
 )
 
 __all__ = [
@@ -39,5 +43,4 @@ __all__ = [
     "GabidulinCode",
     "RankParams",
     "run_rank_protocol",
-    "rank_privacy_audit",
 ]

@@ -11,7 +11,7 @@ FAIL, 2 on a validation error or an audit budget refusal.
 
 Every CSV starts with a schema-version line.  Symbol counts are integers;
 ratios appear as exact fractions "p/q" next to a fixed-format decimal column,
-so identical spec + seed reproduces files byte for byte.  Trial k draws from
+so identical options + seed reproduce files byte for byte.  Trial k draws from
 numpy's default_rng seeded with [seed, k], so any single trial can be rerun
 in isolation.  PSMT_LOG=debug|info|warning controls verbosity.
 """
@@ -20,7 +20,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 import numpy as np
@@ -39,18 +38,15 @@ from .protocols import (
     DEFAULT_AUDIT_BUDGET,
     AuditBudgetExceeded,
     SessionParams,
-    ProtocolContext,
     audit_adversaries,
     privacy_audit,
     run_basic,
     run_improved,
 )
 from .rankmetric import (
-    RankContext,
     RankParams,
     random_generalized_adversary,
     rank_audit_adversaries,
-    rank_privacy_audit,
     run_rank_protocol,
 )
 
@@ -66,26 +62,7 @@ _PHASE_ORDER = {PHASE_ROUND1: 0, PHASE_PSEUDO_BASIS: 1,
 _DIR_ORDER = {BOB_TO_ALICE: 0, ALICE_TO_BOB: 1}
 
 
-@dataclass
-class ExperimentSpec:
-    protocol: str = "improved"
-    n: int = 5
-    t: int = 0
-    l: int = 1
-    q: int = 0
-    m: int = 0
-    adversary: str = "passive"
-    seed: int = 0
-    trials: int = 1
-    out: str = "."
-    transcript: bool = False
-    budget: int = DEFAULT_AUDIT_BUDGET
-    ns: list = dfield(default_factory=list)
-    ls: list = dfield(default_factory=list)
-
-
-class SpecError(ValueError):
-    pass
+RUNNERS = {"basic": run_basic, "improved": run_improved, "rank": run_rank_protocol}
 
 
 def _frac_str(fr):
@@ -102,32 +79,20 @@ def _resolve_name(name, choices, what):
     hits = [c for c in sorted(choices) if c.startswith(name)]
     if len(hits) == 1:
         return hits[0]
-    raise SpecError("unknown %s %r (choices: %s)"
-                    % (what, name, ", ".join(sorted(choices))))
+    raise ValueError("unknown %s %r (choices: %s)"
+                     % (what, name, ", ".join(sorted(choices))))
 
 
-def _resolve_nt(spec):
-    """n and t, with t defaulting to (n-1)/2, or raise SpecError."""
-    n = spec.n
-    t = spec.t if spec.t else (n - 1) // 2
+def _params(args):
+    """SessionParams, or RankParams for --protocol rank, with t defaulting to
+    (n-1)/2, q to the smallest prime above n (rank: 2) and m to n+1."""
+    n = args.n
+    t = args.t or (n - 1) // 2
     if n != 2 * t + 1:
-        raise SpecError("n must equal 2t+1 (got n=%d, t=%d)" % (n, t))
-    return n, t
-
-
-def _classical_spec(spec):
-    """Resolve n/t/q defaults and build SessionParams, or raise SpecError."""
-    n, t = _resolve_nt(spec)
-    q = spec.q if spec.q else gf.next_prime_above(n)
-    return SessionParams(n, t, spec.l, gf.field_of_order(q))
-
-
-def _rank_spec(spec):
-    """Resolve n/t/q/m defaults and build RankParams."""
-    n, t = _resolve_nt(spec)
-    q = spec.q if spec.q else 2
-    m = spec.m if spec.m else n + 1
-    return RankParams(n, t, spec.l, gf.field(q, m))
+        raise ValueError("n must equal 2t+1 (got n=%d, t=%d)" % (n, t))
+    if args.protocol == "rank":
+        return RankParams(n, t, args.l, gf.field(args.q or 2, args.m or n + 1))
+    return SessionParams(n, t, args.l, gf.field_of_order(args.q or gf.next_prime_above(n)))
 
 
 def _ledger_rows(ledger):
@@ -137,16 +102,16 @@ def _ledger_rows(ledger):
     return rows
 
 
-def _open_out(spec, name):
-    os.makedirs(spec.out, exist_ok=True)
-    return open(os.path.join(spec.out, name), "w")
+def _open_out(args, name):
+    os.makedirs(args.out, exist_ok=True)
+    return open(os.path.join(args.out, name), "w")
 
 
-def _classical_factory(spec):
+def _classical_factory(args):
     """Resolve the adversary name; its factory, or None for "none"."""
-    spec.adversary = _resolve_name(
-        spec.adversary, list(builtin_adversaries()) + ["none"], "adversary")
-    return None if spec.adversary == "none" else builtin_adversaries()[spec.adversary]
+    args.adversary = _resolve_name(
+        args.adversary, list(builtin_adversaries()) + ["none"], "adversary")
+    return None if args.adversary == "none" else builtin_adversaries()[args.adversary]
 
 
 def _rank_adversaries(params):
@@ -154,41 +119,38 @@ def _rank_adversaries(params):
     return {a.name.replace("rank-", ""): a for a in rank_audit_adversaries(params)}
 
 
-def _trial(params, ctx, runner, adv_factory, spec, k):
+def _trial(params, ctx, runner, adv_factory, args, k):
     """Trial k: its adversary (from adv_factory(n, t, field, rng), or none)
     and secrets drawn from default_rng([seed, k]), then one run."""
-    rng = np.random.default_rng([spec.seed, k])
+    rng = np.random.default_rng([args.seed, k])
     f = params.field
     adv = adv_factory(params.n, params.t, f, rng) if adv_factory else None
     secrets = f.random(rng, params.l)
     res = runner(params, secrets, adversary=adv, rng=rng, context=ctx,
-                 record_transcript=spec.transcript)
+                 record_transcript=args.transcript)
     return secrets, res
 
 
-def cmd_run(spec):
-    if spec.protocol == "rank":
-        params = _rank_spec(spec)
-        ctx = RankContext(params)
-        runner = run_rank_protocol
+def cmd_run(args):
+    params = _params(args)
+    if args.protocol == "rank":
         table = _rank_adversaries(params)
-        spec.adversary = _resolve_name(spec.adversary, list(table) + ["random"],
+        args.adversary = _resolve_name(args.adversary, list(table) + ["random"],
                                        "adversary")
-        factory = (random_generalized_adversary if spec.adversary == "random"
-                   else lambda n, t, f, rng: table[spec.adversary])
+        factory = (random_generalized_adversary if args.adversary == "random"
+                   else lambda n, t, f, rng: table[args.adversary])
     else:
-        params = _classical_spec(spec)
-        ctx = ProtocolContext(params)
-        runner = {"basic": run_basic, "improved": run_improved}[spec.protocol]
-        factory = _classical_factory(spec)
+        factory = _classical_factory(args)
+    ctx = params.context()
+    runner = RUNNERS[args.protocol]
     f = params.field
 
     successes = 0
     totals = []
     bits_max = 0
     phase_rows = []
-    for k in range(spec.trials):
-        secrets, res = _trial(params, ctx, runner, factory, spec, k)
+    for k in range(args.trials):
+        secrets, res = _trial(params, ctx, runner, factory, args, k)
         ok = np.array_equal(res.secrets, secrets)
         successes += int(ok)
         if not ok:
@@ -197,23 +159,23 @@ def cmd_run(spec):
         bits_max = max(bits_max, res.ledger.bits())
         for ph, d, c, b in _ledger_rows(res.ledger):
             phase_rows.append((k, ph, d, c, b))
-        if spec.transcript and res.transcript is not None:
-            with _open_out(spec, "transcript_%04d.jsonl" % k) as fh:
+        if args.transcript and res.transcript is not None:
+            with _open_out(args, "transcript_%04d.jsonl" % k) as fh:
                 res.transcript.write_log(fh, field=f)
         log.info("trial %d: delivered=%s total_symbols=%d", k, ok, totals[-1])
 
-    mean = Fraction(sum(totals), spec.trials)
+    mean = Fraction(sum(totals), args.trials)
     tmax = max(totals)
-    rate_mean = Fraction(sum(totals), spec.trials * spec.l)
-    rate_max = Fraction(tmax, spec.l)
-    srate = Fraction(successes, spec.trials)
+    rate_mean = Fraction(sum(totals), args.trials * args.l)
+    rate_max = Fraction(tmax, args.l)
+    srate = Fraction(successes, args.trials)
 
-    with _open_out(spec, "phases.csv") as fh:
+    with _open_out(args, "phases.csv") as fh:
         fh.write(SCHEMA_PHASES + "\n")
         fh.write("trial,phase,direction,symbols,bits\n")
         for row in phase_rows:
             fh.write("%d,%s,%s,%d,%d\n" % row)
-    with _open_out(spec, "summary.csv") as fh:
+    with _open_out(args, "summary.csv") as fh:
         fh.write(SCHEMA_SUMMARY + "\n")
         fh.write("protocol,n,t,l,q,m,adversary,trials,seed,successes,"
                  "success_rate,success_rate_dec,total_symbols_mean,"
@@ -221,47 +183,43 @@ def cmd_run(spec):
                  "rate_mean_dec,rate_max,rate_max_dec,bits_per_symbol,"
                  "total_bits_max\n")
         fh.write("%s,%d,%d,%d,%d,%d,%s,%d,%d,%d,%s,%s,%s,%s,%d,%s,%s,%s,%s,%d,%d\n"
-                 % (spec.protocol, params.n, params.t, spec.l, f.q,
-                    getattr(f, "deg", 1), spec.adversary, spec.trials,
-                    spec.seed, successes, _frac_str(srate), _dec_str(srate),
+                 % (args.protocol, params.n, params.t, args.l, f.q,
+                    getattr(f, "deg", 1), args.adversary, args.trials,
+                    args.seed, successes, _frac_str(srate), _dec_str(srate),
                     _frac_str(mean), _dec_str(mean), tmax, _frac_str(rate_mean),
                     _dec_str(rate_mean), _frac_str(rate_max), _dec_str(rate_max),
                     res.ledger.bits_per_symbol, bits_max))
 
     print("protocol=%s n=%d t=%d l=%d q=%d adversary=%s trials=%d seed=%d"
-          % (spec.protocol, params.n, params.t, spec.l, f.q, spec.adversary,
-             spec.trials, spec.seed))
-    print("successes=%d/%d success_rate=%s" % (successes, spec.trials,
+          % (args.protocol, params.n, params.t, args.l, f.q, args.adversary,
+             args.trials, args.seed))
+    print("successes=%d/%d success_rate=%s" % (successes, args.trials,
                                                _frac_str(srate)))
     print("total_symbols mean=%s max=%d  rate mean=%s (%s) max=%s (%s)"
           % (_frac_str(mean), tmax, _frac_str(rate_mean), _dec_str(rate_mean),
              _frac_str(rate_max), _dec_str(rate_max)))
-    print("wrote %s and %s" % (os.path.join(spec.out, "phases.csv"),
-                               os.path.join(spec.out, "summary.csv")))
-    return 0 if successes == spec.trials else 1
+    print("wrote %s and %s" % (os.path.join(args.out, "phases.csv"),
+                               os.path.join(args.out, "summary.csv")))
+    return 0 if successes == args.trials else 1
 
 
-def cmd_audit(spec):
+def cmd_audit(args):
     """Exhaustive view-distribution comparison; refuses oversized requests."""
-    if spec.protocol == "rank":
-        params = _rank_spec(spec)
+    params = _params(args)
+    if args.protocol == "rank":
         table = _rank_adversaries(params)
-        run_one = lambda adv: rank_privacy_audit(params, adv, budget=spec.budget)
     else:
-        params = _classical_spec(spec)
-        runner = {"basic": run_basic, "improved": run_improved}[spec.protocol]
-        table = {a.name: a for a in audit_adversaries(params, seed=spec.seed)}
-        run_one = lambda adv: privacy_audit(params, runner, adv,
-                                            budget=spec.budget)
-    if spec.adversary != "all":
-        name = _resolve_name(spec.adversary, table, "adversary")
+        table = {a.name: a for a in audit_adversaries(params, seed=args.seed)}
+    if args.adversary != "all":
+        name = _resolve_name(args.adversary, table, "adversary")
         table = {name: table[name]}
 
     rows = []
     all_passed = True
     for name in sorted(table):
         try:
-            rep = run_one(table[name])
+            rep = privacy_audit(params, RUNNERS[args.protocol], table[name],
+                                budget=args.budget)
         except AuditBudgetExceeded as e:
             print("adversary=%s REFUSED %s" % (name, e))
             return 2
@@ -272,13 +230,13 @@ def cmd_audit(spec):
         rows.append((name, rep))
     print("audit %s" % ("PASS" if all_passed else "FAIL"))
 
-    if spec.out != ".":
-        with _open_out(spec, "audit.csv") as fh:
+    if args.out != ".":
+        with _open_out(args, "audit.csv") as fh:
             fh.write(SCHEMA_AUDIT + "\n")
             fh.write("protocol,n,t,l,q,m,adversary,passed,runs,views,detail\n")
             for name, rep in rows:
                 fh.write('%s,%d,%d,%d,%d,%d,%s,%d,%d,%d,"%s"\n'
-                         % (spec.protocol, params.n, params.t, spec.l,
+                         % (args.protocol, params.n, params.t, args.l,
                             params.field.q, getattr(params.field, "deg", 1),
                             name, int(rep.passed), rep.runs, rep.num_views,
                             rep.detail))
@@ -295,31 +253,31 @@ def _resolve_l(token, n):
     try:
         return int(token)
     except ValueError:
-        raise SpecError("bad l token %r (use an integer, n, n2 or nlog2n)"
-                        % token)
+        raise ValueError("bad l token %r (use an integer, n, n2 or nlog2n)"
+                         % token)
 
 
-def cmd_bench(spec):
+def cmd_bench(args):
     """Sweeps (n, l); reports measured totals against 5nl + 4n^2 + 4nt + 2n.
 
     The predicted column is the closed-form ceiling with the worst-case
     pseudo-basis size w = t; any in-model run stays at or under it."""
-    runner = {"basic": run_basic, "improved": run_improved}[spec.protocol]
-    factory = _classical_factory(spec)
+    runner = RUNNERS[args.protocol]
+    factory = _classical_factory(args)
     failures = 0
     lines = []
-    for n in spec.ns:
+    for n in args.ns:
         t = (n - 1) // 2
         if n != 2 * t + 1 or t < 1:
-            raise SpecError("n must equal 2t+1 with t >= 1 (got n=%d)" % n)
+            raise ValueError("n must equal 2t+1 with t >= 1 (got n=%d)" % n)
         f = gf.field_of_order(gf.next_prime_above(n))
-        for token in spec.ls:
+        for token in args.ls:
             l = _resolve_l(token, n)
             params = SessionParams(n, t, l, f)
-            ctx = ProtocolContext(params)
+            ctx = params.context()
             tmax = 0
-            for k in range(spec.trials):
-                secrets, res = _trial(params, ctx, runner, factory, spec, k)
+            for k in range(args.trials):
+                secrets, res = _trial(params, ctx, runner, factory, args, k)
                 if not np.array_equal(res.secrets, secrets):
                     failures += 1
                     log.warning("bench n=%d l=%d trial %d failed", n, l, k)
@@ -328,8 +286,8 @@ def cmd_bench(spec):
             rate = Fraction(tmax, l)
             prate = Fraction(predicted, l)
             lines.append("%s,%d,%d,%d,%d,%s,%d,%d,%d,%s,%s,%d,%s,%s,%d"
-                         % (spec.protocol, n, t, l, f.q, spec.adversary,
-                            spec.trials, spec.seed, tmax, _frac_str(rate),
+                         % (args.protocol, n, t, l, f.q, args.adversary,
+                            args.trials, args.seed, tmax, _frac_str(rate),
                             _dec_str(rate), predicted, _frac_str(prate),
                             _dec_str(prate), int(tmax <= predicted)))
             log.info("bench n=%d l=%d total=%d predicted=%d", n, l, tmax,
@@ -338,7 +296,7 @@ def cmd_bench(spec):
     header = ("protocol,n,t,l,q,adversary,trials,seed,total_symbols_max,"
               "rate_max,rate_max_dec,predicted_symbols,predicted_rate,"
               "predicted_rate_dec,within_bound")
-    with _open_out(spec, "bench.csv") as fh:
+    with _open_out(args, "bench.csv") as fh:
         fh.write(SCHEMA_BENCH + "\n")
         fh.write(header + "\n")
         for line in lines:
@@ -346,7 +304,7 @@ def cmd_bench(spec):
     print(header)
     for line in lines:
         print(line)
-    print("wrote %s" % os.path.join(spec.out, "bench.csv"))
+    print("wrote %s" % os.path.join(args.out, "bench.csv"))
     return 1 if failures else 0
 
 
@@ -400,6 +358,7 @@ def build_parser():
     p.add_argument("--adversary", default="all")
     p.add_argument("--budget", type=int, default=DEFAULT_AUDIT_BUDGET,
                    help="refuse audits needing more protocol runs than this")
+    p.set_defaults(trials=1)
 
     p = sub.add_parser("bench", help="sweep (n, l), compare to the closed form")
     common(p, ["improved", "basic"])
@@ -409,16 +368,8 @@ def build_parser():
                    metavar="L1,L2,...", help="integers or n, n2, nlog2n")
     p.add_argument("--adversary", default="targeted-syndrome")
     p.add_argument("--trials", type=int, default=1)
+    p.set_defaults(transcript=False)
     return ap
-
-
-def _spec_from_args(args):
-    spec = ExperimentSpec()
-    for name in ("protocol", "n", "t", "l", "q", "m", "adversary", "seed",
-                 "trials", "out", "transcript", "budget", "ns", "ls"):
-        if hasattr(args, name):
-            setattr(spec, name, getattr(args, name))
-    return spec
 
 
 def main(argv=None):
@@ -426,13 +377,12 @@ def main(argv=None):
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    spec = _spec_from_args(args)
     handler = {"run": cmd_run, "audit": cmd_audit, "bench": cmd_bench}
     try:
-        if spec.trials < 1:  # run and bench; audit keeps the default
-            raise SpecError("trials must be at least 1, got %d" % spec.trials)
-        return handler[args.command](spec)
-    except ValueError as e:  # SpecError included
+        if args.trials < 1:  # run and bench; audit keeps the default
+            raise ValueError("trials must be at least 1, got %d" % args.trials)
+        return handler[args.command](args)
+    except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -233,18 +233,24 @@ class PrivacyPair:
     """An [n, t+1] code C together with a mask row h.  Used for the
     Reed-Solomon pair here and for the Gabidulin pair of the rank variant.
 
-    h is taken from a parity check of the [n+1, t+1] parent code whose last
-    entry alpha is nonzero, restricted to the first n coordinates.  For any
-    parent codeword (x | x_last): h . x = -alpha * x_last, and for a uniform
-    codeword of C the mask h . x stays uniform even after t coordinates of x
-    are revealed.
+    h is taken from the first parity check of the [n+1, t+1] parent code
+    whose last entry alpha is nonzero, restricted to the first n
+    coordinates.  For any parent codeword (x | x_last): h . x = -alpha *
+    x_last, and for a uniform codeword of C the mask h . x stays uniform even
+    after t coordinates of x are revealed.  For Reed-Solomon that is row 0,
+    the dual multiplier vector, whose entries are all nonzero.
     """
 
-    def __init__(self, code, parent, h, alpha):
+    def __init__(self, code, parent):
+        n = code.n
+        row = next((r for r in parent.H if r[n]), None)
+        if row is None:
+            # all parity rows ending in zero would put the unit word e_n in the parent
+            raise AssertionError("no usable parity row (unreachable for d > 1)")
         self.code = code
         self.parent = parent
-        self.h = h
-        self.alpha = alpha
+        self.h = row[:n].copy()
+        self.alpha = int(row[n])
         self.field = code.field
 
     def mask(self, words):
@@ -259,12 +265,4 @@ def build_privacy_pair(n, t, f):
     if t < 0 or t + 1 > n:
         raise ValueError("need 0 <= t <= n-1, got t=%d n=%d" % (t, n))
     parent = ReedSolomonCode(n + 1, t + 1, f)
-    code = ReedSolomonCode(n, t + 1, f)
-    # first parity row of the parent is the dual multiplier vector: all
-    # entries nonzero, so it serves directly
-    row = parent.H[0]
-    h = row[:n].copy()
-    alpha = int(row[n])
-    if alpha == 0:
-        raise AssertionError("dual multiplier vanished (unreachable)")
-    return PrivacyPair(code, parent, h, alpha)
+    return PrivacyPair(ReedSolomonCode(n, t + 1, f), parent)

@@ -7,6 +7,12 @@ secret masked with h . y, where (code, h) is a privacy pair, so t taps reveal
 nothing about the mask.  Bob recovers each masked word's error from the
 published data, rebuilds Alice's received word, and strips the mask.
 
+The params choose the setting: SessionParams.context() gives a
+ProtocolContext (Reed-Solomon codes, repetition broadcast), and
+rankmetric.RankParams.context() a RankContext (Gabidulin codes, the rank
+broadcast).  run_basic, run_improved and privacy_audit build their context
+there unless one is given; rankmetric.run_rank_protocol is run_basic.
+
 Every protocol runs on one skeleton, _run: _prefix (round one, the
 pseudo-basis phase, the masked phase's secret-independent part) then
 _deliver (the one broadcast that depends on the secrets).  A Protocol
@@ -17,13 +23,13 @@ The three pairs open alike, with the count and indices: plain (the words in
 full, w n^2 symbols), packed (a special word exposing corrupted channels,
 then the words in generalized broadcast, at most 4n^2 symbols) and the
 incremental warm-up.  BASIC is plain with one (syndrome || masked secret)
-row per secret, run by run_basic and, over Gabidulin codes,
-rankmetric.run_rank_protocol.  IMPROVED, run by run_improved, adds one word,
-Alice's one unique decoding of her pseudo-basis and masked words, the packed
-pair, packed syndromes and a double mask: 5n + O(n^2 / l) symbols per
-secret.  A runner's protocol attribute names its description;
-privacy_audit reads the word count there and runs the secret-independent
-prefix once per choice of codewords.
+row per secret, run by run_basic in either setting.  IMPROVED, run by
+run_improved in the Hamming setting only, adds one word, Alice's one unique
+decoding of her pseudo-basis and masked words, the packed pair, packed
+syndromes and a double mask: 5n + O(n^2 / l) symbols per secret.  A
+runner's protocol attribute names its description; privacy_audit reads the
+word count there and runs the secret-independent prefix once per choice of
+codewords.
 """
 
 from collections import namedtuple
@@ -62,6 +68,10 @@ class SessionParams:
         if self.l < 1:
             raise ValueError("need at least one secret, got l=%d" % self.l)
         self._check_field()
+
+    def context(self):
+        """The Hamming setting: Reed-Solomon codes, repetition broadcast."""
+        return ProtocolContext(self)
 
     def _check_field(self):
         if self.field.q <= self.n + 1:
@@ -169,6 +179,8 @@ def _round_one_words(code, num_words, rng, bob_words):
     if X.shape != (num_words, code.n):
         raise ValueError("expected bob_words of shape (%d, %d), got %s"
                          % (num_words, code.n, X.shape))
+    if code.syndrome(code.field.check_array(X)).any():
+        raise ValueError("bob_words must be codewords of the [%d, %d] code" % (code.n, code.k))
     return X
 
 
@@ -476,9 +488,17 @@ def _deliver(ctx, proto, session, state, secrets):
     return proto.unmask(ctx, state, ctx.broadcast_decode(got))[0]
 
 
+def _check_setting(ctx, proto):
+    """Refuses a protocol the context's setting has no variant of: over a
+    RankContext only BASIC runs."""
+    if proto is not BASIC and not isinstance(ctx, ProtocolContext):
+        raise ValueError("only the basic protocol has a rank-metric variant")
+
+
 def _run(ctx, proto, secrets, adversary, rng, bob_words, record_transcript):
     """The two-round skeleton: protocol proto over ctx's code, privacy pair
     and broadcast."""
+    _check_setting(ctx, proto)
     params = ctx.params
     secrets = _check_secrets(params, secrets)
     session = ChannelSession(params.n, params.t, params.field, adversary, record_transcript)
@@ -490,16 +510,17 @@ def _run(ctx, proto, secrets, adversary, rng, bob_words, record_transcript):
 
 def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
               context=None, record_transcript=False):
-    """The plain two-round protocol: pseudo-basis words broadcast in full."""
-    ctx = context if context is not None else ProtocolContext(params)
+    """The plain two-round protocol: pseudo-basis words broadcast in full, in
+    the setting of params unless a context is given."""
+    ctx = context if context is not None else params.context()
     return _run(ctx, BASIC, secrets, adversary, rng, bob_words, record_transcript)
 
 
 def run_improved(params, secrets, adversary=None, rng=None, bob_words=None,
                  context=None, record_transcript=False):
     """The 5n + O(n^2/l) protocol: special word, packed pseudo-basis, packed
-    syndromes, and the double mask."""
-    ctx = context if context is not None else ProtocolContext(params)
+    syndromes, and the double mask.  Hamming setting only."""
+    ctx = context if context is not None else params.context()
     return _run(ctx, IMPROVED, secrets, adversary, rng, bob_words, record_transcript)
 
 
@@ -532,21 +553,6 @@ class AuditReport:
 
 
 DEFAULT_AUDIT_BUDGET = 1 << 22
-
-
-def privacy_audit(params, runner, adversary, budget=DEFAULT_AUDIT_BUDGET):
-    """Exhaustive perfect-privacy check against one deterministic strategy.
-
-    Enumerates every choice of Bob's random codewords and every secret vector,
-    runs the protocol, and compares the multiset of adversary views across
-    secret values: perfect privacy holds iff the multisets coincide.  Every
-    run is also required to deliver its secrets exactly.  Raises
-    AuditBudgetExceeded (reporting the exact need) rather than sampling.
-    A runner that names its protocol (run_basic, run_improved, a
-    functools.wraps wrapper of either) runs one shared prefix per choice of
-    codewords and is checked against itself on the first choice only; any
-    other runner is called for every run."""
-    return _audit(params, runner, adversary, ProtocolContext(params), budget)
 
 
 def _runner_step(params, runner, adversary, ctx, X, secrets, first):
@@ -618,16 +624,28 @@ def _snapshot(adversary):
     return restore
 
 
-def _audit(params, runner, adversary, ctx, budget):
-    """The enumeration behind both privacy audits, over ctx's code.  For
-    each choice X of Bob's codewords the step yields, one secret value at a
-    time in the order of the rows of secrets, the secrets delivered and the
-    view key; the audit stops at the first delivery failure, so a lazy step
-    runs nothing past it.  A runner naming no protocol counts as basic and
-    is called for every run."""
+def privacy_audit(params, runner, adversary, budget=DEFAULT_AUDIT_BUDGET):
+    """Exhaustive perfect-privacy check against one deterministic strategy,
+    in the setting of params.
+
+    Enumerates every choice of Bob's random codewords and every secret vector,
+    runs the protocol, and compares the multiset of adversary views across
+    secret values: perfect privacy holds iff the multisets coincide.  Every
+    run is also required to deliver its secrets exactly, and the audit stops
+    at the first delivery failure.  Raises AuditBudgetExceeded (reporting the
+    exact need) rather than sampling.  A runner that names its protocol
+    (run_basic, run_improved, a functools.wraps wrapper of either) runs one
+    shared prefix per choice of codewords and is checked against itself on
+    the first choice only; any other runner counts as basic and is called
+    for every run."""
+    ctx = params.context()
+    proto = getattr(runner, "protocol", BASIC)
+    _check_setting(ctx, proto)
+    # per choice of codewords, a step lazily yields (secrets delivered, view
+    # key) for each row of secrets in turn, so a failure stops it there
     step = _shared_prefix_step if hasattr(runner, "protocol") else _runner_step
     code, l, q = ctx.code, params.l, params.field.q
-    num_words = params.t + l + getattr(runner, "protocol", BASIC).extra_words
+    num_words = params.t + l + proto.extra_words
     nmsg = q**code.k
     choices = nmsg**num_words
     num_secrets = q**l

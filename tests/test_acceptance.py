@@ -6,6 +6,7 @@ Expect a few minutes of wall time for this file; everything is seeded and
 deterministic.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ from psmt.rankmetric import (
     random_generalized_adversary,
     rank_audit_adversaries,
     rank_of_batch,
-    rank_privacy_audit,
     run_rank_protocol,
 )
 from helpers import unique_decode
@@ -131,10 +131,25 @@ def test_criterion_02():
     for adv in audit_adversaries(p2):
         rep = privacy_audit(p2, run_basic, adv)
         assert rep.passed and rep.runs == 390625, (adv.name, rep.detail)
+    # rank: the params choose the setting, so the audit hands the runner a
+    # RankContext; a functools.wraps wrapper is called once per secret value
+    # on the first choice of codewords only
     rp = RankParams(3, 1, 1, gf.field(2, 4))
+    contexts = []
+
+    @functools.wraps(run_rank_protocol)
+    def counting(*args, **kwargs):
+        contexts.append(kwargs["context"])
+        return run_rank_protocol(*args, **kwargs)
+
+    views = {"rank-passive": 4096, "rank-fixed-tamper": 65536, "rank-tap-replay": 4096}
     for adv in rank_audit_adversaries(rp):
-        rep = rank_privacy_audit(rp, adv)
+        contexts.clear()
+        rep = privacy_audit(rp, counting, adv)
         assert rep.passed, (adv.name, rep.detail)
+        assert (rep.runs, rep.num_views) == (1048576, views[adv.name]), adv.name
+        assert len(contexts) == 16
+        assert all(isinstance(c, RankContext) for c in contexts)
 
 
 def test_criterion_03(sweep):

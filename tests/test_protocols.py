@@ -412,6 +412,12 @@ def test_round_one_word_count_checked():
                 runner(p, [1], bob_words=code.random_codeword(rng, wrong))
         with pytest.raises(ValueError):
             runner(p, [1], bob_words=code.random_codeword(rng, num)[:, :2])
+        # right shape, but one word off the code: it would run to a wrong
+        # secret, so it is refused
+        words = code.random_codeword(rng, num)
+        words[0, 0] = (words[0, 0] + 1) % p.field.q
+        with pytest.raises(ValueError, match="bob_words"):
+            runner(p, [1], bob_words=words)
         res = runner(p, [1], bob_words=code.random_codeword(rng, num))
         assert list(res.secrets) == [1]
 

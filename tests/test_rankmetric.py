@@ -1,3 +1,5 @@
+import hashlib
+import io
 import itertools
 
 import numpy as np
@@ -25,6 +27,7 @@ from psmt.protocols import (
     _index_width,
     _shared_runs,
     audit_adversaries,
+    privacy_audit,
     run_basic,
     run_improved,
 )
@@ -42,7 +45,6 @@ from psmt.rankmetric import (
     rank_broadcast_encode,
     rank_of,
     rank_of_batch,
-    rank_privacy_audit,
     rank_privacy_pair,
     run_rank_protocol,
 )
@@ -263,6 +265,11 @@ def test_generalized_adversary_validation():
     with pytest.raises(ValueError):
         ChannelSession(3, 1, f, GeneralizedAdversary(
             np.ones((2, 3)), np.ones((2, 3)), f))
+    # negative entries would index the field's tables from the end
+    with pytest.raises(ValueError, match="eavesdrop vectors"):
+        GeneralizedAdversary([[-1, 1, 0]], np.ones((1, 3)), f)
+    with pytest.raises(ValueError, match="tamper vectors"):
+        GeneralizedAdversary(np.ones((1, 3)), [[0, -1, 1]], f)
 
 
 def test_session_taps_and_unit_tamper():
@@ -385,7 +392,7 @@ def test_rank_audit_budget_refusal():
     p = RankParams(3, 1, 1, gf.field(2, 5))
     adv = rank_audit_adversaries(p)[0]
     with pytest.raises(AuditBudgetExceeded) as e:
-        rank_privacy_audit(p, adv)
+        privacy_audit(p, run_rank_protocol, adv)
     assert e.value.required == 32**5
 
 
@@ -422,6 +429,11 @@ def test_run_rank_protocol_refuses_wrong_bob_words():
     words = code.random_codeword(rng, 2)
     words[0, 0] = 99
     with pytest.raises(ValueError):
+        run_rank_protocol(p, [1], bob_words=words)
+    # in the field but off the code: refused, not run to a wrong secret
+    words = code.random_codeword(rng, 2)
+    words[0, 0] = p.field.add(int(words[0, 0]), 1)
+    with pytest.raises(ValueError, match="bob_words"):
         run_rank_protocol(p, [1], bob_words=words)
     res = run_rank_protocol(p, [1], bob_words=code.random_codeword(rng, 2))
     assert list(res.secrets) == [1]
@@ -461,7 +473,7 @@ def test_rank_traffic_validation():
             session.transmit(ALICE_TO_BOB, np.array([[1, 2, 3]]), PHASE_MASKED)
         # the audit's shared-prefix path checks the masked payload the same way
         with pytest.raises(AdversaryFault):
-            rank_privacy_audit(p, adv)
+            privacy_audit(p, run_rank_protocol, adv)
 
 
 def _outcome(bcode, t, word):
@@ -580,6 +592,11 @@ def test_rank_of_batch_chunks_and_row_reduction(monkeypatch, limit):
     assert [int(r) for r in got] == [_word_rank_oracle(f, w) for w in words]
 
 
+# sha256 of the JSONL transcript of the rank protocol at n=3, t=1, l=2 over
+# F_16 against the fixed-tamper strategy, secrets [1, 2], rng seed 3
+RANK_TRANSCRIPT_SHA256 = "84ed524f79da765fd28c81cd5d508a70930109b6aafa77780faa0a39873e8005"
+
+
 def test_one_masked_phase_transmission_in_both_settings():
     # the masked phase is one broadcast of l (syndrome || masked value) rows,
     # t + 1 symbols each, for the Hamming and the rank skeleton alike
@@ -592,3 +609,30 @@ def test_one_masked_phase_transmission_in_both_settings():
         assert len(masked) == 1
         assert masked[0][3].shape == (l * (t + 1), n)
         assert list(res.secrets) == [1, 2]
+    # the params choose the setting: run_basic on RankParams is the rank
+    # protocol, its transcript pinned byte for byte
+    assert run_rank_protocol is run_basic
+    adv = rank_audit_adversaries(rp)[1]
+    res = run_basic(rp, [1, 2], adversary=adv, rng=np.random.default_rng(3),
+                    record_transcript=True)
+    log = io.StringIO()
+    res.transcript.write_log(log, field=rp.field)
+    assert hashlib.sha256(log.getvalue().encode()).hexdigest() == RANK_TRANSCRIPT_SHA256
+    assert list(res.secrets) == [1, 2]
+
+
+class RoundOneSent(GeneralizedAdversary):
+    def tap(self, arrays):
+        raise AssertionError("round one was sent")
+
+
+def test_improved_has_no_rank_variant():
+    # refused before round one, whether the params or the context choose the
+    # rank setting, and by the audit too
+    p = rank_params()
+    adv = RoundOneSent(np.ones((1, 3)), np.ones((1, 3)), p.field)
+    for context in (None, RankContext(p)):
+        with pytest.raises(ValueError, match="rank-metric variant"):
+            run_improved(p, [1], adversary=adv, context=context)
+    with pytest.raises(ValueError, match="rank-metric variant"):
+        privacy_audit(p, run_improved, adv)

@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 
-from psmt import gf, mds, protocols
+from psmt import gf, mds, protocols, rankmetric
 from psmt.channels import TargetedSyndromeAdversary
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -46,3 +46,23 @@ def test_tracer_spans_one_improved_session():
     assert set(layers) == set(tracer.LAYER_METRICS)
     assert layers["mds.unique_decode_batch.decoded_ratio"]["value"] > 0
     assert layers["protocols.run.self_ms"]["value"] > 0
+
+
+def test_tracer_spans_one_rank_session():
+    # run_rank_protocol is run_basic under its own name in rankmetric, so
+    # the tracer's rankmetric spans still see a rank session
+    tracer = _load_tracer()
+    params = rankmetric.RankParams(3, 1, 2, gf.field(2, 4))
+    rng = np.random.default_rng(4)
+    adversary = rankmetric.random_generalized_adversary(3, 1, params.field, rng)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        res = rankmetric.run_rank_protocol(params, np.array([5, 6]), adversary=adversary,
+                                           rng=rng)
+    finally:
+        tr.uninstall()
+    assert rankmetric.run_rank_protocol is protocols.run_basic
+    assert np.array_equal(res.secrets, [5, 6])
+    assert tr.counts["rankmetric.run.calls"] == 1
+    assert tr.counts["rankmetric.transmit.calls"] > 0
