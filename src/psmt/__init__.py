@@ -3,7 +3,8 @@
 Library layout:
 
 - gf: exact arithmetic in F_p and F_{p^m}, plus linear algebra over either.
-- mds: Reed-Solomon codes, syndromes, unique decoding, privacy pairs.
+- mds: the linear-code core, Reed-Solomon codes with unique decoding, and
+  PrivacyPair(family, n, t, f) for either code family.
 - pseudobasis: pseudo-basis selection and error recovery from syndromes.
 - broadcast: repetition and generalized (m-fold) broadcast over n channels.
 - channels: the channel session for both adversary models (t channels, or t
@@ -19,7 +20,7 @@ serve both; run_improved has no rank variant yet.
 """
 
 from .gf import field, field_of_order, PrimeField, ExtensionField
-from .mds import ReedSolomonCode, build_privacy_pair
+from .mds import ReedSolomonCode, PrivacyPair
 from .channels import ChannelSession
 from .protocols import SessionParams, run_basic, run_improved, privacy_audit
 from .rankmetric import (
@@ -34,7 +35,7 @@ __all__ = [
     "PrimeField",
     "ExtensionField",
     "ReedSolomonCode",
-    "build_privacy_pair",
+    "PrivacyPair",
     "ChannelSession",
     "SessionParams",
     "run_basic",

@@ -65,18 +65,16 @@ def broadcast_decode(arrays, t, keep=None):
     return s[:, mid].astype(np.int64)
 
 
-def gen_broadcast_encode(code, symbols):
-    """Pack symbols into codewords of code = [n, m+1], zero-padding the tail.
-
-    Returns a (ceil(len / (m+1)), n) stack; the receiver knows the payload
-    length from public parameters, so no length header is sent.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64).reshape(-1)
+def gen_broadcast_encode(code, rows):
+    """Pack each row of symbols (a 1-D input is one row), zero-padded to a
+    multiple of m+1, into codewords of code = [n, m+1], all in one stack.
+    The receiver knows the row length from public parameters, so no length
+    header is sent."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64))
     k = code.k
-    pad = (-len(symbols)) % k
-    if pad:
-        symbols = np.concatenate([symbols, np.zeros(pad, dtype=np.int64)])
-    return code.encode(symbols.reshape(-1, k))
+    padded = np.zeros((rows.shape[0], -(-rows.shape[1] // k) * k), dtype=np.int64)
+    padded[:, : rows.shape[1]] = rows
+    return code.encode(padded.reshape(-1, k))
 
 
 def gen_broadcast_decode(code, t, arrays, known_bad):

@@ -84,14 +84,18 @@ def _resolve_name(name, choices, what):
 
 
 def _params(args):
-    """SessionParams, or RankParams for --protocol rank, with t defaulting to
-    (n-1)/2, q to the smallest prime above n (rank: 2) and m to n+1."""
+    """SessionParams, or RankParams for --protocol rank, with t = (n-1)/2, q
+    defaulting to the smallest prime above n (rank: 2) and m to n+1; --m is
+    refused outside rank."""
     n = args.n
-    t = args.t or (n - 1) // 2
+    t = (n - 1) // 2
     if n != 2 * t + 1:
         raise ValueError("n must equal 2t+1 (got n=%d, t=%d)" % (n, t))
     if args.protocol == "rank":
         return RankParams(n, t, args.l, gf.field(args.q or 2, args.m or n + 1))
+    if args.m:
+        raise ValueError("--m is the rank protocol's extension degree; the %s protocol "
+                         "takes its field from --q alone" % args.protocol)
     return SessionParams(n, t, args.l, gf.field_of_order(args.q or gf.next_prime_above(n)))
 
 
@@ -267,13 +271,10 @@ def cmd_bench(args):
     failures = 0
     lines = []
     for n in args.ns:
-        t = (n - 1) // 2
-        if n != 2 * t + 1 or t < 1:
-            raise ValueError("n must equal 2t+1 with t >= 1 (got n=%d)" % n)
-        f = gf.field_of_order(gf.next_prime_above(n))
         for token in args.ls:
-            l = _resolve_l(token, n)
-            params = SessionParams(n, t, l, f)
+            args.n, args.l = n, _resolve_l(token, n)
+            params = _params(args)
+            t, l, f = params.t, params.l, params.field
             ctx = params.context()
             tmax = 0
             for k in range(args.trials):
@@ -329,33 +330,32 @@ def build_parser():
                        help="trial k uses default_rng([seed, k])")
         p.add_argument("--out", default=".", help="directory for CSV reports")
 
+    def setting(p, adversary, **n):
+        """--n (with argparse keywords n), --l, --q, --m and --adversary."""
+        p.add_argument("--n", type=int, **n)
+        p.add_argument("--l", type=int, default=1, help="secrets per session")
+        p.add_argument("--q", type=int, default=0,
+                       help="field order, default smallest prime above n; any "
+                            "prime power above n+1 works, primes below 2^31 "
+                            "(rank: base prime, default 2)")
+        p.add_argument("--m", type=int, default=0,
+                       help="rank only: extension degree, default n+1")
+        p.add_argument("--adversary", default=adversary,
+                       help="passive, random-noise, targeted-syndrome or replay, "
+                            "plus none (run) or all (audit); rank: passive, "
+                            "fixed-tamper or tap-replay, plus random (run) or "
+                            "all (audit); unique prefixes allowed")
+
     p = sub.add_parser("run", help="run one configuration for many trials")
     common(p, ["improved", "basic", "rank"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=0, help="default (n-1)/2")
-    p.add_argument("--l", type=int, default=1, help="secrets per session")
-    p.add_argument("--q", type=int, default=0,
-                   help="field order, default smallest prime above n; any "
-                        "prime power above n+1 works, primes below 2^31 "
-                        "(rank: base prime, default 2)")
-    p.add_argument("--m", type=int, default=0,
-                   help="rank only: extension degree, default n+1")
-    p.add_argument("--adversary", default="passive",
-                   help="passive, random-noise, targeted-syndrome, replay or "
-                        "none (rank: passive, fixed-tamper, tap-replay, "
-                        "random); unique prefixes allowed")
+    setting(p, "passive", required=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--transcript", action="store_true",
                    help="write transcript_<k>.jsonl per trial")
 
     p = sub.add_parser("audit", help="exhaustive privacy audit")
     common(p, ["basic", "improved", "rank"])
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--t", type=int, default=0)
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--q", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--adversary", default="all")
+    setting(p, "all", default=3)
     p.add_argument("--budget", type=int, default=DEFAULT_AUDIT_BUDGET,
                    help="refuse audits needing more protocol runs than this")
     p.set_defaults(trials=1)
@@ -368,7 +368,7 @@ def build_parser():
                    metavar="L1,L2,...", help="integers or n, n2, nlog2n")
     p.add_argument("--adversary", default="targeted-syndrome")
     p.add_argument("--trials", type=int, default=1)
-    p.set_defaults(transcript=False)
+    p.set_defaults(transcript=False, q=0, m=0)
     return ap
 
 

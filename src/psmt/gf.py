@@ -65,10 +65,6 @@ def next_prime_above(n):
 class _FieldBase:
     """Shared plumbing; subclasses fill in the raw arithmetic."""
 
-    def check(self, v):
-        if not isinstance(v, (int, np.integer)) or not 0 <= v < self.q:
-            raise ValueError("not an element of %r: %r" % (self, v))
-
     def check_array(self, a):
         a = np.asarray(a, dtype=np.int64)
         if a.size and (a.min() < 0 or a.max() >= self.q):
@@ -81,9 +77,6 @@ class _FieldBase:
     def random(self, rng, shape=()):
         """Uniform elements; index uniformity is element uniformity."""
         return rng.integers(0, self.q, size=shape, dtype=np.int64)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def vsub(self, a, b):
         return self.vadd(a, self.vneg(b))
@@ -630,10 +623,8 @@ def null_space(f, A):
     R, pivots = rref(f, A)
     free = [c for c in range(n) if c not in pivots]
     basis = f.zeros((len(free), n))
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            basis[i, pc] = f.neg(int(R[row, fc]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = f.vneg(R[: len(pivots), free].T)
     return basis
 
 

@@ -1,11 +1,13 @@
-"""Reed-Solomon codes with explicit evaluation points, syndromes, unique
-decoding, and the mask construction used to hide one symbol from t observers.
+"""Linear codes: LinearCode, the core both code families share (msg . G,
+H . word, random codewords, Hamming weights); Reed-Solomon codes with unique
+decoding; and the privacy pair that hides one symbol from t observers.
 
-A code [n, k] here is the set of evaluations of degree < k polynomials at n
-distinct nonzero points (by default the n smallest nonzero field elements in
-index order).  The parity-check matrix comes from the dual GRS description:
-row r has entries u_i * pt_i^r where u_i = prod_{j != i} (pt_i - pt_j)^{-1},
-so it is deterministic and its first row has all entries nonzero.
+A Reed-Solomon code [n, k] here is the set of evaluations of degree < k
+polynomials at n distinct nonzero points (by default the n smallest nonzero
+field elements in index order).  The parity-check matrix comes from the dual
+GRS description: row r has entries u_i * pt_i^r where u_i = prod_{j != i}
+(pt_i - pt_j)^{-1}, so it is deterministic and its first row has all entries
+nonzero.
 """
 
 import numpy as np
@@ -13,7 +15,39 @@ import numpy as np
 from . import gf
 
 
-class ReedSolomonCode:
+class LinearCode:
+    """An [n, k] code over field with generator G (k x n), parity check H
+    ((n-k) x n) and minimum distance d; a subclass sets all six."""
+
+    def encode(self, msg):
+        """msg . G; msg is (k,) or a batch (..., k)."""
+        msg = np.asarray(msg, dtype=np.int64)
+        if msg.shape[-1] != self.k:
+            raise ValueError("message length must be %d" % self.k)
+        flat = msg.reshape(-1, self.k)
+        out = gf.mat_mul(self.field, flat, self.G)
+        return out.reshape(msg.shape[:-1] + (self.n,))
+
+    def syndrome(self, word):
+        """H times word, shape (..., n) -> (..., n-k)."""
+        word = np.asarray(word, dtype=np.int64)
+        if word.shape[-1] != self.n:
+            raise ValueError("word length must be %d" % self.n)
+        flat = word.reshape(-1, self.n)
+        out = gf.mat_mul(self.field, flat, self.H.T)
+        return out.reshape(word.shape[:-1] + (self.n - self.k,))
+
+    def random_codeword(self, rng, count=None):
+        """Uniformly random codeword(s) from a seeded generator."""
+        shape = (self.k,) if count is None else (count, self.k)
+        return self.encode(self.field.random(rng, shape))
+
+    def weights(self, words):
+        """Hamming weights of a stack of words."""
+        return np.count_nonzero(words, axis=-1)
+
+
+class ReedSolomonCode(LinearCode):
     def __init__(self, n, k, f, points=None):
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
@@ -63,32 +97,9 @@ class ReedSolomonCode:
         if n - k > 0 and np.any(gf.mat_mul(f, self.G, self.H.T)):
             raise AssertionError("parity check does not annihilate the code")
 
-    def encode(self, msg):
-        """Evaluate the message polynomial; msg is (k,) or a batch (..., k)."""
-        msg = np.asarray(msg, dtype=np.int64)
-        if msg.shape[-1] != self.k:
-            raise ValueError("message length must be %d" % self.k)
-        flat = msg.reshape(-1, self.k)
-        out = gf.mat_mul(self.field, flat, self.G)
-        return out.reshape(msg.shape[:-1] + (self.n,))
-
-    def syndrome(self, word):
-        """H times word, shape (..., n) -> (..., n-k)."""
-        word = np.asarray(word, dtype=np.int64)
-        if word.shape[-1] != self.n:
-            raise ValueError("word length must be %d" % self.n)
-        flat = word.reshape(-1, self.n)
-        out = gf.mat_mul(self.field, flat, self.H.T)
-        return out.reshape(word.shape[:-1] + (self.n - self.k,))
-
-    def random_codeword(self, rng, count=None):
-        """Uniformly random codeword(s) from a seeded generator."""
-        shape = (self.k,) if count is None else (count, self.k)
-        return self.encode(self.field.random(rng, shape))
-
-    def weights(self, words):
-        """Hamming weights of a stack of words."""
-        return np.count_nonzero(words, axis=-1)
+    # an entry of its own, since the benchmark's tracer wraps
+    # vars(mds.ReedSolomonCode)["syndrome"]
+    syndrome = LinearCode.syndrome
 
     def unique_decode_batch(self, Y, erasures=()):
         """Vectorized unique decoding from syndromes: (codewords, errors, ok).
@@ -230,19 +241,23 @@ def _berlekamp_massey(f, S):
 
 
 class PrivacyPair:
-    """An [n, t+1] code C together with a mask row h.  Used for the
-    Reed-Solomon pair here and for the Gabidulin pair of the rank variant.
+    """The [n, t+1] code of a family (ReedSolomonCode or
+    rankmetric.GabidulinCode) with a mask row h, for n channels and t
+    observers.  The [n+1, t+1] parent is built first.
 
-    h is taken from the first parity check of the [n+1, t+1] parent code
-    whose last entry alpha is nonzero, restricted to the first n
-    coordinates.  For any parent codeword (x | x_last): h . x = -alpha *
-    x_last, and for a uniform codeword of C the mask h . x stays uniform even
-    after t coordinates of x are revealed.  For Reed-Solomon that is row 0,
-    the dual multiplier vector, whose entries are all nonzero.
+    h is the first parity check of the parent whose last entry alpha is
+    nonzero, restricted to the first n coordinates.  For any parent codeword
+    (x | x_last): h . x = -alpha * x_last, and for a uniform codeword of the
+    code the mask h . x stays uniform even after t coordinates of x are
+    revealed.  For Reed-Solomon (which needs n+1 < q) that is row 0, the
+    dual multiplier vector, whose entries are all nonzero.
     """
 
-    def __init__(self, code, parent):
-        n = code.n
+    def __init__(self, family, n, t, f):
+        if t < 0 or t + 1 > n:
+            raise ValueError("need 0 <= t <= n-1, got t=%d n=%d" % (t, n))
+        parent = family(n + 1, t + 1, f)
+        code = family(n, t + 1, f)
         row = next((r for r in parent.H if r[n]), None)
         if row is None:
             # all parity rows ending in zero would put the unit word e_n in the parent
@@ -251,18 +266,10 @@ class PrivacyPair:
         self.parent = parent
         self.h = row[:n].copy()
         self.alpha = int(row[n])
-        self.field = code.field
+        self.field = f
 
     def mask(self, words):
         """h . word along the last axis, as one (words, n) (n, 1) product."""
         words = np.asarray(words, dtype=np.int64)
         flat = words.reshape(-1, self.h.shape[0])
         return gf.mat_mul(self.field, flat, self.h[:, None]).reshape(words.shape[:-1])
-
-
-def build_privacy_pair(n, t, f):
-    """Code + mask pair for n channels and t observers; needs n+1 < q."""
-    if t < 0 or t + 1 > n:
-        raise ValueError("need 0 <= t <= n-1, got t=%d n=%d" % (t, n))
-    parent = ReedSolomonCode(n + 1, t + 1, f)
-    return PrivacyPair(ReedSolomonCode(n, t + 1, f), parent)

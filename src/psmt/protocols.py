@@ -11,7 +11,8 @@ The params choose the setting: SessionParams.context() gives a
 ProtocolContext (Reed-Solomon codes, repetition broadcast), and
 rankmetric.RankParams.context() a RankContext (Gabidulin codes, the rank
 broadcast).  run_basic, run_improved and privacy_audit build their context
-there unless one is given; rankmetric.run_rank_protocol is run_basic.
+there unless one built for the params is given (another is refused);
+rankmetric.run_rank_protocol is run_basic.
 
 Every protocol runs on one skeleton, _run: _prefix (round one, the
 pseudo-basis phase, the masked phase's secret-independent part) then
@@ -88,7 +89,7 @@ class ProtocolContext:
 
     def __init__(self, params):
         self.params = params
-        self.pair = mds.build_privacy_pair(params.n, params.t, params.field)
+        self.pair = mds.PrivacyPair(mds.ReedSolomonCode, params.n, params.t, params.field)
         self.code = self.pair.code
         self.m_syn = (params.t + 1) // 2
         self._bcast = {}
@@ -280,11 +281,9 @@ def special_word_search(f, words, decoded, t):
     for i in range(1, w):
         if 3 * np.count_nonzero(acc_err) > t:
             break
-        support = np.nonzero(acc_err)[0]
-        banned = set()
-        for j in support:
-            if E[i][j]:
-                banned.add(f.div(f.neg(int(acc_err[j])), int(E[i][j])))
+        # the lambdas that would cancel a hit coordinate
+        both = (acc_err != 0) & (E[i] != 0)
+        banned = set(f.vmul(f.vneg(acc_err[both]), f.vinv(E[i][both])).tolist())
         lam = 1
         while lam in banned:
             lam += 1
@@ -299,7 +298,7 @@ def send_packed(ctx, session, pb, width, decoded):
     indices, the special word in plain broadcast, then the words packed
     m-fold with m = min(w, floor(t/3)), each costing ceil(n / (m+1))
     arrays."""
-    n, t, f = ctx.params.n, ctx.params.t, ctx.params.field
+    t, f = ctx.params.t, ctx.params.field
     w = len(pb)
     if not w:
         return _announce(ctx, session, pb, width)
@@ -307,10 +306,8 @@ def send_packed(ctx, session, pb, width, decoded):
     delivered = _announce(ctx, session, pb, width, mu)
     delivered["special"] = _publish(session, ctx.broadcast_encode(special), PHASE_PSEUDO_BASIS)
     m = min(w, t // 3)
-    padded = f.zeros((w, -(-n // (m + 1)) * (m + 1)))
-    padded[:, :n] = pb.words
     delivered["blocks"] = _publish(
-        session, ctx.bcast_code(m).encode(padded.reshape(-1, m + 1)), PHASE_PSEUDO_BASIS)
+        session, broadcast.gen_broadcast_encode(ctx.bcast_code(m), pb.words), PHASE_PSEUDO_BASIS)
     return delivered
 
 
@@ -405,15 +402,11 @@ def _pack_syndromes(ctx, session, state):
     their unique decoding, state.decoded, which the prefix made together
     with her pseudo-basis words' decoding; Bob's branch follows from the
     channels his error basis exposes."""
-    t, f = ctx.params.t, ctx.params.field
-    m = ctx.m_syn
-    padded = f.zeros((len(state.words), -(-t // (m + 1)) * (m + 1)))
-    padded[:, :t] = state.syndromes
-    blocks = _publish(session, ctx.bcast_code(m).encode(padded.reshape(-1, m + 1)),
-                      PHASE_MASKED)
+    blocks = _publish(session, broadcast.gen_broadcast_encode(ctx.bcast_code(ctx.m_syn),
+                                                              state.syndromes), PHASE_MASKED)
     decoded, _, ok = state.decoded
     state.stats["support_size"] = len(state.eb.support)
-    state.stats["branch"] = "syndromes" if 2 * len(state.eb.support) >= t else "direct"
+    state.stats["branch"] = "syndromes" if 2 * len(state.eb.support) >= ctx.params.t else "direct"
     return state._replace(extra=(blocks, ctx.pair.mask(decoded), ok))
 
 
@@ -508,20 +501,30 @@ def _run(ctx, proto, secrets, adversary, rng, bob_words, record_transcript):
     return RunResult._from_session(session, out, state.stats)
 
 
+def _context(params, context):
+    """params.context(), or the given context if it was built for params:
+    for the very object (every library caller) or an equal one."""
+    if context is None:
+        return params.context()
+    if context.params is not params and context.params != params:
+        raise ValueError("context built for %r, not for %r" % (context.params, params))
+    return context
+
+
 def run_basic(params, secrets, adversary=None, rng=None, bob_words=None,
               context=None, record_transcript=False):
     """The plain two-round protocol: pseudo-basis words broadcast in full, in
-    the setting of params unless a context is given."""
-    ctx = context if context is not None else params.context()
-    return _run(ctx, BASIC, secrets, adversary, rng, bob_words, record_transcript)
+    the setting of params unless a context built for them is given."""
+    return _run(_context(params, context), BASIC, secrets, adversary, rng, bob_words,
+                record_transcript)
 
 
 def run_improved(params, secrets, adversary=None, rng=None, bob_words=None,
                  context=None, record_transcript=False):
     """The 5n + O(n^2/l) protocol: special word, packed pseudo-basis, packed
     syndromes, and the double mask.  Hamming setting only."""
-    ctx = context if context is not None else params.context()
-    return _run(ctx, IMPROVED, secrets, adversary, rng, bob_words, record_transcript)
+    return _run(_context(params, context), IMPROVED, secrets, adversary, rng, bob_words,
+                record_transcript)
 
 
 # functools.wraps copies these; a runner without one counts as basic

@@ -19,10 +19,12 @@ map is injective on spans all of whose elements have rank below the code
 distance; pseudobasis checks that bound on every extracted and recovered
 error, in the code's own metric.
 
-The rest is shared with the Hamming setting too: transmissions run over
+The rest is shared with the Hamming setting too: GabidulinCode is an
+mds.LinearCode with the rank as its weight, transmissions run over
 channels.ChannelSession (GeneralizedAdversary supplies the taps arrays .
-lambda^T and the injection delta . mu), the privacy pair is an
-mds.PrivacyPair, and privacy_audit(params, run_rank_protocol, adversary)
+lambda^T and the injection delta . mu), the privacy pair is
+mds.PrivacyPair(GabidulinCode, n, t, f), and
+privacy_audit(params, run_rank_protocol, adversary)
 audits this setting, running the secret-independent prefix once per choice
 of codewords.  The improved protocol has no rank variant yet.
 """
@@ -31,16 +33,10 @@ import numpy as np
 
 from . import gf
 from .channels import ChannelSession, ProtocolViolation
-from .mds import PrivacyPair
+from .mds import LinearCode, PrivacyPair
 from .protocols import SessionParams, run_basic
 
 DECODE_TABLE_LIMIT = 1 << 16
-
-
-def _base_field(f):
-    if not hasattr(f, "_base_prime_field"):
-        f._base_prime_field = gf.PrimeField(f.p)
-    return f._base_prime_field
 
 
 # Largest number of entries any one array of the combination helpers holds;
@@ -86,7 +82,7 @@ def rank_of_batch(f, words):
         zeros = _by_chunks(lambda w: np.count_nonzero(_combinations(f, w) == 0, axis=1),
                            words, span)
         return n - np.searchsorted(f.p ** np.arange(n + 1, dtype=np.int64), zeros)
-    base = _base_field(f)
+    base = gf.PrimeField(f.p)
     out = np.zeros(nb, dtype=np.int64)
     for i in range(nb):
         mat = np.array([f.decode(int(v)) for v in words[i]], dtype=np.int64).T
@@ -94,10 +90,11 @@ def rank_of_batch(f, words):
     return out
 
 
-class GabidulinCode:
+class GabidulinCode(LinearCode):
     """[n, k] evaluations of polynomials sum a_i z^(q^i), i < k, at n
     F_q-independent points (by default the first n monomial basis elements).
-    MRD with rank distance n - k + 1 when the extension degree is >= n."""
+    MRD with rank distance n - k + 1 when the extension degree is >= n.
+    Encoding and syndromes are LinearCode's; weights are ranks."""
 
     def __init__(self, n, k, f, points=None):
         if not isinstance(f, gf.ExtensionField):
@@ -127,37 +124,9 @@ class GabidulinCode:
         self.G = G
         self.H = gf.null_space(f, G)
 
-    def encode(self, msg):
-        msg = np.asarray(msg, dtype=np.int64)
-        if msg.shape[-1] != self.k:
-            raise ValueError("message length must be %d" % self.k)
-        flat = msg.reshape(-1, self.k)
-        out = gf.mat_mul(self.field, flat, self.G)
-        return out.reshape(msg.shape[:-1] + (self.n,))
-
-    def syndrome(self, word):
-        word = np.asarray(word, dtype=np.int64)
-        if word.shape[-1] != self.n:
-            raise ValueError("word length must be %d" % self.n)
-        flat = word.reshape(-1, self.n)
-        out = gf.mat_mul(self.field, flat, self.H.T)
-        return out.reshape(word.shape[:-1] + (self.n - self.k,))
-
-    def random_codeword(self, rng, count=None):
-        shape = (self.k,) if count is None else (count, self.k)
-        return self.encode(self.field.random(rng, shape))
-
     def weights(self, words):
         """Ranks of a stack of words."""
         return rank_of_batch(self.field, words)
-
-
-def rank_privacy_pair(n, t, f):
-    """Needs extension degree >= n+1 so the [n+1, t+1] parent exists."""
-    if t < 0 or t + 1 > n:
-        raise ValueError("need 0 <= t <= n-1, got t=%d n=%d" % (t, n))
-    parent = GabidulinCode(n + 1, t + 1, f)
-    return PrivacyPair(GabidulinCode(n, t + 1, f), parent)
 
 
 def _check_decode_cap(f):
@@ -375,7 +344,7 @@ class RankContext:
 
     def __init__(self, params):
         self.params = params
-        self.pair = rank_privacy_pair(params.n, params.t, params.field)
+        self.pair = PrivacyPair(GabidulinCode, params.n, params.t, params.field)
         self.code = self.pair.code
         self.bcast = rank_broadcast_code(params.n, params.field)
 
@@ -392,7 +361,7 @@ class RankContext:
 run_rank_protocol = run_basic
 
 
-def rank_audit_adversaries(params, seed=0):
+def rank_audit_adversaries(params):
     """Deterministic strategies for the rank privacy audit: passive, constant
     tamper, and tap replay, with weight-2 lambda and mu vectors."""
     f = params.field

@@ -47,6 +47,27 @@ def test_run_rejects_even_n(tmp_path, capsys):
     assert "n must equal 2t+1 (got n=6, t=2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,protocol", [
+    ("run", "basic"), ("run", "improved"), ("audit", "basic"), ("audit", "improved")])
+def test_m_refused_outside_rank(tmp_path, capsys, command, protocol):
+    # --m was ignored here: the run went ahead over F_7 and wrote m=1
+    rc = main([command, "--protocol", protocol, "--n", "5", "--m", "9",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "--m is the rank protocol's extension degree" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_t_is_not_an_option(capsys, command):
+    # t is always (n-1)/2; on run, --t reads as an ambiguous prefix of
+    # --trials and --transcript
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "5", "--t", "2"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_reproduces_byte_identical(tmp_path):
     argv = ["run", "--protocol", "improved", "--n", "7", "--l", "2",
             "--adversary", "targeted-syndrome", "--trials", "4", "--seed",

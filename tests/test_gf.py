@@ -275,6 +275,14 @@ def test_null_space(f):
         A = f.random(rng, (rows, cols))
         N = gf.null_space(f, A)
         assert N.shape[0] == cols - gf.mat_rank(f, A)
+        # the element-by-element fill from the RREF, as the reference
+        R, pivots = gf.rref(f, A)
+        ref = f.zeros((N.shape[0], cols))
+        for i, fc in enumerate(c for c in range(cols) if c not in pivots):
+            ref[i, fc] = 1
+            for row, pc in enumerate(pivots):
+                ref[i, pc] = f.neg(int(R[row, fc]))
+        assert np.array_equal(N, ref)
         if N.shape[0]:
             prod = gf.mat_mul(f, A, N.T)
             assert not np.any(prod)

@@ -182,7 +182,7 @@ def test_syndrome_injective_below_distance():
 
 def test_privacy_pair_mask_relation():
     f = gf.field(5)
-    pair = mds.build_privacy_pair(3, 1, f)
+    pair = mds.PrivacyPair(mds.ReedSolomonCode, 3, 1, f)
     assert pair.code.n == 3 and pair.code.k == 2
     # for every parent codeword (x | last): h . x = -alpha * last
     parent_words = all_codewords(pair.parent)
@@ -197,7 +197,7 @@ def test_privacy_pair_mask_uniform_given_t_coords(n, t, q):
     # over a uniform codeword, the mask is uniform conditioned on any t
     # coordinates taking any particular values
     f = gf.field_of_order(q)
-    pair = mds.build_privacy_pair(n, t, f)
+    pair = mds.PrivacyPair(mds.ReedSolomonCode, n, t, f)
     table = all_codewords(pair.code)
     masks = pair.mask(table)
     for coords in itertools.combinations(range(n), t):
@@ -216,9 +216,9 @@ def test_privacy_pair_mask_uniform_given_t_coords(n, t, q):
 
 def test_privacy_pair_needs_room():
     with pytest.raises(ValueError):
-        mds.build_privacy_pair(4, 1, gf.field(5))  # parent needs 5 points
+        mds.PrivacyPair(mds.ReedSolomonCode, 4, 1, gf.field(5))  # parent needs 5 points
     with pytest.raises(ValueError):
-        mds.build_privacy_pair(3, 3, gf.field(5))
+        mds.PrivacyPair(mds.ReedSolomonCode, 3, 3, gf.field(5))
 
 
 def test_explicit_points_subset_code():
@@ -336,11 +336,11 @@ def test_batch_decode_matches_row_by_row_at_benchmark_sizes(k):
 
 
 @pytest.mark.parametrize("pair", [
-    lambda: mds.build_privacy_pair(47, 23, gf.field(53)),
-    lambda: mds.build_privacy_pair(11, 5, gf.field(67_108_859)),
-    lambda: mds.build_privacy_pair(7, 3, gf.field(2**31 - 1)),
-    lambda: rankmetric.rank_privacy_pair(3, 1, gf.field(2, 4)),
-    lambda: rankmetric.rank_privacy_pair(5, 2, gf.field(2, 6)),
+    lambda: mds.PrivacyPair(mds.ReedSolomonCode, 47, 23, gf.field(53)),
+    lambda: mds.PrivacyPair(mds.ReedSolomonCode, 11, 5, gf.field(67_108_859)),
+    lambda: mds.PrivacyPair(mds.ReedSolomonCode, 7, 3, gf.field(2**31 - 1)),
+    lambda: mds.PrivacyPair(rankmetric.GabidulinCode, 3, 1, gf.field(2, 4)),
+    lambda: mds.PrivacyPair(rankmetric.GabidulinCode, 5, 2, gf.field(2, 6)),
 ], ids=["F53", "F67108859", "F2^31-1", "F16-gabidulin", "F64-gabidulin"])
 def test_mask_matches_vdot(pair):
     # the mask is one matrix product; the row-wise inner product is its

@@ -292,6 +292,20 @@ def test_special_word_accumulation_case():
     assert 3 * np.count_nonzero(true_err) >= min(3 * 2, p.t)
 
 
+def test_special_word_skips_cancelling_lambdas():
+    # lambda = 1, 2 and 3 would each cancel one coordinate the first error
+    # hits, so the second word joins with lambda = 4
+    f = gf.field(13)
+    rng = np.random.default_rng(2)
+    words = f.random(rng, (2, 10))
+    E = f.zeros((2, 10))
+    E[0, :3] = 1
+    E[1, :3] = [12, 6, 4]  # -1/1, -1/2, -1/3
+    special, mu = special_word_search(f, words, (words, E, np.ones(2, dtype=bool)), 9)
+    assert mu.tolist() == [1, 4]
+    assert np.array_equal(special, f.vadd(words[0], f.vmul(np.int64(4), words[1])))
+
+
 # the warm-up pair on the basic masked phase: a description built from parts
 INCREMENTAL = protocols.BASIC._replace(send=protocols.send_incremental,
                                        receive=protocols.receive_incremental)
@@ -420,6 +434,20 @@ def test_round_one_word_count_checked():
             runner(p, [1], bob_words=words)
         res = runner(p, [1], bob_words=code.random_codeword(rng, num))
         assert list(res.secrets) == [1]
+
+
+def test_context_must_match_params():
+    # a context built for other params was used silently: this ran at n=3
+    # over F_5 and returned [3]
+    p = SessionParams(5, 2, 1, gf.field(7))
+    other = ProtocolContext(SessionParams(3, 1, 1, gf.field(5)))
+    for runner in (run_basic, run_improved):
+        with pytest.raises(ValueError, match="context built for"):
+            runner(p, [3], context=other)
+        # a context built from equal but distinct params is accepted
+        twin = ProtocolContext(SessionParams(5, 2, 1, gf.field(7)))
+        res = runner(p, [3], rng=np.random.default_rng(1), context=twin)
+        assert list(res.secrets) == [3] and res.ledger.symbols() > 0
 
 
 def test_audit_word_count_survives_wraps():

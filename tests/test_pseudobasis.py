@@ -17,7 +17,7 @@ def span_rank(f, rows):
         for b in basis:
             p = int(np.nonzero(b)[0][0])
             if r[p]:
-                r = f.vsub(r, f.vmul(f.div(int(r[p]), int(b[p])), b))
+                r = f.vsub(r, f.vmul(f.mul(int(r[p]), f.inv(int(b[p]))), b))
         if r.any():
             basis.append(r)
     return len(basis)

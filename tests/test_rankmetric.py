@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from psmt import gf, rankmetric
+from psmt.mds import PrivacyPair
 from psmt.channels import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
@@ -16,6 +17,7 @@ from psmt.channels import (
     AdversaryFault,
     AdversaryStrategy,
     ChannelSession,
+    builtin_adversaries,
     view_bytes,
 )
 from psmt.pseudobasis import compute_pseudo_basis, extract_error_basis, recover_error
@@ -45,7 +47,6 @@ from psmt.rankmetric import (
     rank_broadcast_encode,
     rank_of,
     rank_of_batch,
-    rank_privacy_pair,
     run_rank_protocol,
 )
 
@@ -134,7 +135,7 @@ def test_privacy_pair_joint_uniformity():
     # every single eavesdrop vector sees (tap, mask) exactly once per value
     # pair when the codeword runs over the whole [3, 2] code
     f = gf.field(2, 4)
-    pair = rank_privacy_pair(3, 1, f)
+    pair = PrivacyPair(GabidulinCode, 3, 1, f)
     msgs = np.array(list(itertools.product(range(16), repeat=2)), dtype=np.int64)
     words = pair.code.encode(msgs)
     masks = pair.mask(words)
@@ -147,14 +148,14 @@ def test_privacy_pair_joint_uniformity():
 
 def test_privacy_pair_mask_tracks_parent():
     f = gf.field(2, 4)
-    pair = rank_privacy_pair(3, 1, f)
+    pair = PrivacyPair(GabidulinCode, 3, 1, f)
     msgs = np.array(list(itertools.product(range(16), repeat=2)), dtype=np.int64)
     parent_words = pair.parent.encode(msgs)
     lhs = pair.mask(parent_words[:, :3])
     rhs = f.vmul(np.int64(pair.alpha), parent_words[:, 3])
     assert np.all(f.vadd(lhs, rhs) == 0)
     with pytest.raises(ValueError):
-        rank_privacy_pair(3, 3, f)
+        PrivacyPair(GabidulinCode, 3, 3, f)
 
 
 def test_rank_broadcast_rank_one_errors_exhaustive():
@@ -328,6 +329,41 @@ def test_rank_ledger_closed_forms():
         # syndromes ride the masked phase: l * (n - t - 1) symbols, plus l
         # masked values, each spread over n channels
         assert led[(PHASE_MASKED, ALICE_TO_BOB)] == l * (t + 1) * n
+
+
+def test_rank_params_refuse_a_hamming_context():
+    p = rank_params()
+    ctx = ProtocolContext(SessionParams(p.n, p.t, p.l, p.field))
+    with pytest.raises(ValueError, match="context built for"):
+        run_rank_protocol(p, [5], context=ctx)
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (5, 6)])
+def test_rank_protocol_against_coordinate_adversaries(n, m):
+    # a coordinate adversary is the generalized one with lambda = mu = e_C;
+    # each run delivers and costs the basic closed form at its own w
+    f = gf.field(2, m)
+    t, q = (n - 1) // 2, f.q
+    seen = set()
+    for l in (1, n):
+        p = RankParams(n, t, l, f)
+        ctx = RankContext(p)
+        width = 1
+        while q**width < t + l:
+            width += 1
+        for name, factory in sorted(builtin_adversaries().items()):
+            for seed in range(30):
+                rng = np.random.default_rng([n, l, seed])
+                adv = factory(n, t, f, rng)
+                secrets = f.random(rng, l)
+                res = run_rank_protocol(p, secrets, adversary=adv, rng=rng, context=ctx)
+                w = res.stats["w"]
+                assert np.array_equal(res.secrets, secrets), (name, l, seed)
+                assert 0 <= w <= t
+                want = n * ((t + l) + 1 + w * width + w * n + l * (t + 1))
+                assert res.ledger.symbols() == want, (name, l, seed)
+                seen.add(w)
+    assert seen == set(range(t + 1))
 
 
 def test_noise_adversary_runs_reproduce():
