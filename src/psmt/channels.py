@@ -32,6 +32,15 @@ PHASE_MASKED = "masked-secrets"
 BOB_TO_ALICE = "bob->alice"
 ALICE_TO_BOB = "alice->bob"
 
+# Arrays per slab when AdversaryStrategy.inject copies a block channel-major.
+# Copying a C-ordered (rows, k) block into k rows reads across every row;
+# slab by slab, what it reads stays in cache.  numpy 2.4.6 on a 2-vCPU
+# x86-64 virtual machine, a (53016, 47) repetition view and a (53016, 23)
+# reply: 1.3 ms in slabs of 512 arrays (1.4 ms at 1,024 or 2,048), against
+# 3.7 ms in one copy each; a (53016, 47) C-ordered block with that reply:
+# 1.9 ms against 9.9 ms.
+_SLAB_ROWS = 512
+
 
 class ProtocolViolation(RuntimeError):
     """The run is inconsistent with the adversary model (more than t corrupted
@@ -104,9 +113,11 @@ class Transcript:
 class AdversaryStrategy:
     """Reads and rewrites only her own channels.
 
-    tamper() receives the (num_arrays, num_corrupted) block of symbols she can
-    see for one transmission and returns the block to deliver instead.  view
-    is the accumulating list of everything she has seen so far this session.
+    tamper() receives the read-only (num_arrays, num_corrupted) block of
+    symbols she can see for one transmission and returns the block to deliver
+    instead; returning that block itself delivers the transmission as sent.
+    view is the accumulating list of everything she has seen so far this
+    session.
     """
 
     name = "passive"
@@ -115,7 +126,6 @@ class AdversaryStrategy:
         self.corrupted = tuple(sorted(set(int(c) for c in corrupted)))
         self.field = field
         self._columns = np.array(self.corrupted, dtype=np.int64)
-        self._mask = None
 
     @property
     def t(self):
@@ -133,32 +143,29 @@ class AdversaryStrategy:
         """Her columns of arrays, as a new array.  Indexing reads a
         repetition view (column stride 0) where it lies, which np.take
         would first copy out whole.  The result is column-major; every
-        reader takes its values in logical order (copy, tobytes, place), and
-        a copy to row order would hold a second block of her taps at once."""
+        reader takes its values in logical order (a copy, tobytes, inject's
+        slabs), and a copy to row order would hold a second block of her
+        taps at once."""
         return arrays[:, self._columns]
 
     def reply(self, direction, phase, taps, view):
         return self.tamper(direction, phase, taps, view)
 
     def inject(self, arrays, taps, reply):
-        """A row-contiguous copy of arrays with her channels rewritten: the
-        True entries of the channel mask, in order, are her reply's entries
-        in order, because her channels are sorted."""
-        if np.array_equal(reply, taps):
+        """arrays with her channels rewritten, built channel-major: each
+        channel of arrays is copied into one row of an (n, rows) buffer, her
+        rows are overwritten from reply, and the buffer's transpose, the same
+        logical (rows, n) block, is delivered.  Both copies go in slabs of
+        _SLAB_ROWS arrays.  A reply that is her taps themselves (a passive
+        strategy) delivers arrays."""
+        if reply is taps:
             return arrays
-        delivered = arrays.copy()
-        np.place(delivered, self._channel_mask(arrays.shape), reply)
-        return delivered
-
-    def _channel_mask(self, shape):
-        """(rows, n) bools, True on her channels: a row prefix of the
-        largest such mask built so far, so contiguous."""
-        mask = self._mask
-        if mask is None or mask.shape[1] != shape[1] or mask.shape[0] < shape[0]:
-            row = np.zeros(shape[1], dtype=bool)
-            row[list(self.corrupted)] = True
-            self._mask = mask = np.tile(row, (shape[0], 1))
-        return mask[: shape[0]]
+        buffer = np.empty(arrays.shape[::-1], dtype=np.int64)
+        for start in range(0, len(arrays), _SLAB_ROWS):
+            rows = slice(start, start + _SLAB_ROWS)
+            buffer[:, rows] = arrays[rows].T
+            buffer[self._columns, rows] = reply[rows].T
+        return buffer.T
 
     def tamper(self, direction, phase, observed, view):
         return observed
@@ -305,11 +312,13 @@ class ChannelSession:
 
     def intercept(self, direction, phase, arrays, taps):
         """The adversary's turn on one transmission, given her taps of it:
-        records the taps, checks her reply, returns the delivered arrays."""
+        records the taps and hands them to her reply read-only, so her view
+        keeps them as tapped; checks her reply; returns the delivered
+        arrays."""
+        taps.setflags(write=False)
         self.eve_view.append(("tap", direction, phase, taps))
-        reply = np.asarray(
-            self.adversary.reply(direction, phase, taps.copy(), self.eve_view),
-            dtype=np.int64)
+        reply = np.asarray(self.adversary.reply(direction, phase, taps, self.eve_view),
+                           dtype=np.int64)
         if reply.shape != taps.shape:
             raise AdversaryFault("reply block has shape %r, expected %r"
                                  % (reply.shape, taps.shape))

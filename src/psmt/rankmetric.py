@@ -29,6 +29,8 @@ audits this setting, running the secret-independent prefix once per choice
 of codewords.  The improved protocol has no rank variant yet.
 """
 
+import types
+
 import numpy as np
 
 from . import gf
@@ -97,14 +99,9 @@ class GabidulinCode(LinearCode):
     Encoding and syndromes are LinearCode's; weights are ranks."""
 
     def __init__(self, n, k, f, points=None):
-        if not isinstance(f, gf.ExtensionField):
-            raise ValueError("rank codes need an extension field")
-        if not 1 <= k <= n:
-            raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
-        if n > f.deg:
-            raise ValueError("length %d exceeds extension degree %d" % (n, f.deg))
+        _check_shape(n, k, f)
         if points is None:
-            points = np.array([f.p**i for i in range(n)], dtype=np.int64)
+            points = _monomials(n, f)
         else:
             points = np.asarray(points, dtype=np.int64)
             if points.shape != (n,):
@@ -129,6 +126,22 @@ class GabidulinCode(LinearCode):
         return rank_of_batch(self.field, words)
 
 
+def _check_shape(n, k, f):
+    """Refuses an [n, k] rank code that F_q^n cannot hold: a prime field, k
+    outside [1, n], or more F_q-independent points than the degree allows."""
+    if not isinstance(f, gf.ExtensionField):
+        raise ValueError("rank codes need an extension field")
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
+    if n > f.deg:
+        raise ValueError("length %d exceeds extension degree %d" % (n, f.deg))
+
+
+def _monomials(n, f):
+    """The first n monomial basis elements 1, z, ..., z^(n-1), F_q-independent."""
+    return np.array([f.p**i for i in range(n)], dtype=np.int64)
+
+
 def _check_decode_cap(f):
     """Refuses a field past DECODE_TABLE_LIMIT, which bounds the rank
     broadcast's q x n candidate table and its (rows, q) vote counts."""
@@ -139,22 +152,26 @@ def _check_decode_cap(f):
 
 
 def rank_broadcast_code(n, f):
-    """The [n, 1] rank code: one symbol c spread as c * g, g the code's
-    F_p-independent points, rank distance n.
+    """The [n, 1] rank code: one symbol c spread as c * g, g the first n
+    monomials (GabidulinCode(n, 1, f)'s points), rank distance n.  Only what
+    the rank broadcast reads is built: its words c * g for every c, and the
+    vote's inverses.
 
     Independence makes g . v nonzero for every nonzero v in F_p^n, so the
     decoder's votes (r . v) / (g . v) are defined; the inverses 1 / (g . v)
     are kept here, in the column order of _combinations minus the zero
     column."""
     _check_decode_cap(f)
-    code = GabidulinCode(n, 1, f)
-    code.cand_words = f.vmul(np.arange(f.q, dtype=np.int64)[:, None], code.points[None, :])
-    code.inv_gv = f.vinv(_combinations(f, code.points[None, :])[0, 1:])
-    # small enough (as at the audit sizes), a table per radius t holds every
-    # word's decoded symbol (or -1), indexed by the word read as a base-q number
-    code.places = f.q ** np.arange(n, dtype=np.int64) if f.q**n <= DECODE_TABLE_LIMIT else None
-    code.decode_tables = {}
-    return code
+    _check_shape(n, 1, f)
+    points = _monomials(n, f)
+    return types.SimpleNamespace(
+        n=n, field=f, points=points,
+        cand_words=f.vmul(np.arange(f.q, dtype=np.int64)[:, None], points[None, :]),
+        inv_gv=f.vinv(_combinations(f, points[None, :])[0, 1:]),
+        # small enough (as at the audit sizes), a table per radius t holds every
+        # word's decoded symbol (or -1), indexed by the word read as a base-q number
+        places=f.q ** np.arange(n, dtype=np.int64) if f.q**n <= DECODE_TABLE_LIMIT else None,
+        decode_tables={})
 
 
 def rank_broadcast_encode(bcode, symbols):

@@ -118,6 +118,77 @@ def test_plain_decode_large_block_matches_counter_oracle(high):
         assert np.array_equal(broadcast.broadcast_decode(-rows[good], t, keep=keep), -got)
 
 
+def _check_against_oracle(block, t, keep, need):
+    """decode raises iff some row has no value with need copies among the
+    kept channels, and otherwise returns every row's value."""
+    rows = block if keep is None else block[:, keep]
+    want = [_majority_oracle(row, need) for row in rows]
+    if None in want:
+        with pytest.raises(ProtocolViolation):
+            broadcast.broadcast_decode(block, t, keep=keep)
+    else:
+        got = broadcast.broadcast_decode(block, t, keep=keep)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("n", [11, 47])
+def test_plain_decode_whole_channels_matches_counter_oracle(n, monkeypatch):
+    # broadcasts of at least _NARROW_MIN kept symbols as they arrive: the
+    # sent block with 0..t channels rewritten, row-major, channel-major (the
+    # transpose of a C array) and, unrewritten, as the repetition view, each
+    # with and without a keep subset.  Where whole channels settle the
+    # majority no row is sorted, so the int32 guard is never read
+    t = (n - 1) // 2
+    need = n - t
+    sorted_blocks = []
+    guard = broadcast._outside
+    monkeypatch.setattr(broadcast, "_outside",
+                        lambda arr, q: sorted_blocks.append(arr.shape) or guard(arr, q))
+    rng = np.random.default_rng(n + 300)
+    for high in (7, 2**40):
+        for rewritten in range(t + 1):
+            for keep in (None, np.sort(rng.choice(n, size=int(rng.integers(1, n)),
+                                                  replace=False))):
+                kept = n if keep is None else len(keep)
+                rows = -(-broadcast._NARROW_MIN // kept)
+                sent = broadcast.broadcast_encode(n, rng.integers(0, high, size=rows))
+                block = np.array(sent)
+                bad = rng.choice(n, size=rewritten, replace=False)
+                block[:, bad] = rng.integers(0, high, size=(rows, rewritten))
+                layouts = [block, np.ascontiguousarray(block.T).T]
+                if rewritten == 0:
+                    layouts.append(sent)
+                for arrays in layouts:
+                    del sorted_blocks[:]
+                    _check_against_oracle(arrays, t, keep, need)
+                    if keep is None and rewritten == 0:
+                        assert sorted_blocks == []
+
+
+def test_plain_decode_whole_channel_near_misses():
+    # need - 1 identical channels do not settle the block: the sort path
+    # decodes it, here to per-row majorities that no channel holds whole,
+    # and raises on a block whose row 0 has a majority but a later row none
+    n, t = 47, 23
+    need = n - t
+    rows = 2 * broadcast._NARROW_MIN // n
+    rng = np.random.default_rng(17)
+    values = rng.integers(0, 2**20, size=rows)
+    block = rng.integers(2**20, 2**21, size=(rows, n))
+    block[:, : need - 1] = values[:, None]
+    block[np.arange(rows), need - 1 + np.arange(rows) % (n - need + 1)] = values
+    for arrays in (block, np.ascontiguousarray(block.T).T):
+        for keep in (None, np.arange(n - 1)):
+            _check_against_oracle(arrays, t, keep, need)
+        assert broadcast.broadcast_decode(arrays, t).tolist() == values.tolist()
+    late = np.repeat(values[:, None], n, axis=1)
+    late[rows // 2, need - 1 :] = 2**21 + np.arange(n - need + 1)
+    for arrays in (late, np.ascontiguousarray(late.T).T):
+        _check_against_oracle(arrays, t, None, need)
+        with pytest.raises(ProtocolViolation):
+            broadcast.broadcast_decode(arrays, t)
+
+
 def test_gen_encode_m0_is_repetition():
     f = gf.field(7)
     c0 = mds.ReedSolomonCode(5, 1, f)

@@ -57,10 +57,14 @@ def test_session_rejects_mismatched_adversary():
 
 
 def test_passive_delivers_verbatim():
+    # her reply is her taps themselves, so the delivery is the sent array
+    # object, a plain block or a repetition view
     session, f = make_session()
-    arrays = np.array([[1, 2, 3, 4, 5], [6, 0, 1, 2, 3]])
+    arrays = np.array([[1, 2, 3, 4, 5], [6, 0, 1, 2, 3]], dtype=np.int64)
     got = session.transmit(BOB_TO_ALICE, arrays, PHASE_ROUND1)
-    assert np.array_equal(got, arrays)
+    assert got is arrays
+    view = broadcast.broadcast_encode(5, [4, 0, 6])
+    assert session.transmit(ALICE_TO_BOB, view, PHASE_MASKED, public=True) is view
 
 
 class WriteNine(AdversaryStrategy):
@@ -159,6 +163,23 @@ def test_eve_view_taps_and_public():
     assert isinstance(key, bytes) and len(key) > 0
 
 
+class WriteIntoTaps(AdversaryStrategy):
+    def tamper(self, direction, phase, observed, view):
+        observed[:] = 0
+        return observed
+
+
+def test_taps_reach_her_read_only():
+    # a strategy that writes into her taps in place gets numpy's ValueError,
+    # and her view still holds the taps as tapped
+    session, f = make_session(n=3, t=1, corrupted=(1,), q=7, adv_cls=WriteIntoTaps)
+    sent = np.array([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="read-only"):
+        session.transmit(BOB_TO_ALICE, sent, PHASE_ROUND1)
+    assert [entry[0] for entry in session.eve_view] == ["tap"]
+    assert session.eve_view[0][3].tolist() == [[2], [5]]
+
+
 def test_transcript_structure_and_log():
     session, f = make_session(n=3, t=1, corrupted=(0,), q=7, adv_cls=WriteNine,
                               record_transcript=True)
@@ -239,7 +260,7 @@ def test_inject_matches_column_assignment(size):
     # her rewrites land exactly where a column assignment puts them, on a
     # repetition view and on a plain block, for 0, 1 and t = 23 channels
     # given unsorted and with repeats; blocks of 1, 53,016 and again 1 rows,
-    # so the cached channel mask is built, grown and sliced
+    # so inject copies one partial slab, many slabs and a partial one again
     f = gf.field(53)
     rng = np.random.default_rng(size)
     chosen = rng.permutation(47)[:size].tolist()

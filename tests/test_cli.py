@@ -209,6 +209,11 @@ PINNED_RUNS = {
     "basic": (["--protocol", "basic", "--n", "7", "--l", "5", "--q", "16",
                "--adversary", "replay"],
               "dcae74fcedb6e3a1fe0eae2b770dfb01196d329343f1bf3cc7b867f12b075dfc"),
+    # n = 11, l = 121: her rewrites of the masked block and Bob's decode of
+    # it are large enough for broadcast_decode's whole-channel rule
+    "basic-n11": (["--protocol", "basic", "--n", "11", "--l", "121",
+                   "--adversary", "random-noise"],
+                  "418c34e9315046be4237c18e93c0f36fc2b70ccf7ea9b0bde540828016191095"),
     "improved": (["--protocol", "improved", "--n", "7", "--l", "5",
                   "--adversary", "targeted-syndrome"],
                  "1fcce6e60790282cfce23e8b3eba43498eb3d38a4d157544f65ae875a5a4062a"),
