@@ -6,15 +6,18 @@ decoding is exact.  The n copies are never written out: a plain broadcast is
 sent as a read-only (arrays, n) view with column stride 0 over the symbols,
 and since no layer writes into a sent block (the adversary's rewrites go into
 a channel-major copy), the ledger, the transcript and her view all read the
-same logical block of n copies.  Every honest channel delivers the sent
-column whole, so a large block is decoded by whole channels: when n - t kept
-channels agree in every row, one of them is the answer.  A small block, or
-one where they do not agree, has its rows sorted.
+same logical block of n copies.  A block no one rewrote arrives as that
+view, and its one column is the answer.  Every honest channel delivers the
+sent column whole, so a large rewritten block is decoded by whole channels:
+when n - t kept channels agree in every row, one of them is the answer.  A
+small block, or one where they do not agree, has its rows sorted.
 
 Generalized broadcast packs m+1 symbols per transmission as a codeword of an
 [n, m+1] code; a receiver who can already point at m (or more) corrupted
 channels decodes with those channels erased, and the errors-and-erasures
-radius covers every remaining in-model error.
+radius covers every remaining in-model error.  Each row is first
+interpolated from m+1 clean channels and checked against the rest; only a
+row with an error outside the erasures runs the errors-and-erasures decoder.
 """
 
 import numpy as np
@@ -46,6 +49,10 @@ def broadcast_decode(arrays, t, keep=None):
     """Majority value of each array; keep optionally restricts to a column
     subset (used when erasing known-bad channels).
 
+    A repetition view (column stride 0), as every broadcast arrives that no
+    one rewrote, holds one column n times: with at least need = n - t kept
+    channels that column is the answer, read without copying the kept ones.
+
     A block of at least _NARROW_MIN kept symbols is first tried by whole
     channels.  Take the first kept channel that holds the middle sorted
     entry of both the first and the last row (by row 0 alone, 4% of
@@ -67,10 +74,12 @@ def broadcast_decode(arrays, t, keep=None):
     """
     arrays = np.asarray(arrays, dtype=np.int64)
     n = arrays.shape[1]
+    need = n - t
+    if arrays.strides[1] == 0 and (n if keep is None else len(np.arange(n)[keep])) >= need:
+        return arrays[:, 0].copy()
     if keep is not None:
         arrays = arrays[:, keep]
     kept = arrays.shape[1]
-    need = n - t
     mid = kept // 2
     large = arrays.size >= _NARROW_MIN
     if large:
@@ -87,7 +96,8 @@ def broadcast_decode(arrays, t, keep=None):
     runs = s[:, lo : lo + width] == s[:, lo + need - 1 : lo + need - 1 + width]
     if not runs.any(axis=1).all():
         raise ProtocolViolation("no channel-majority value; more than t rewrites")
-    return s[:, mid].astype(np.int64)
+    # a slice, since an empty block may keep no channel at all
+    return s[:, mid : mid + 1].astype(np.int64).reshape(-1)
 
 
 def gen_broadcast_encode(code, rows):
@@ -107,34 +117,48 @@ def gen_broadcast_decode(code, t, arrays, known_bad):
 
     known_bad may list more than m channels (never more than t); they are all
     erased, and the at most t-s errors that can remain are within the
-    errors-and-erasures radius of the code.  Returns the flat payload
-    including padding.
+    errors-and-erasures radius (n - k - s) // 2 of the code [n, k = m+1].
+    Returns the flat payload including padding.
+
+    For m >= 1 every row is interpolated from the first k clean (not erased)
+    channels and re-encoded onto the others.  A row that arrived as that
+    re-encoding on every clean channel has no error outside the erasures; any
+    two codewords within the radius of a row differ in at most s + 2 * radius
+    <= n - k < d places, so its codeword is the one the errors-and-erasures
+    decoder returns.  Only the other rows go to the decoder, and their
+    codewords are read on the same k channels.
     """
     f = code.field
-    n, m = code.n, code.k - 1
+    n, k = code.n, code.k
+    m = k - 1
     known_bad = sorted(set(int(c) for c in known_bad))
     s = len(known_bad)
     if s < m:
         raise ValueError("need at least %d known corrupted channels, got %d" % (m, s))
     if s > t:
         raise ProtocolViolation("more than t channels flagged as corrupted")
+    if known_bad and (known_bad[0] < 0 or known_bad[-1] >= n):
+        raise ValueError("erasures must be positions 0..%d, got %s" % (n - 1, known_bad))
     arrays = np.asarray(arrays, dtype=np.int64)
     if m == 0:
         keep = [i for i in range(n) if i not in known_bad]
         return broadcast_decode(arrays, t, keep=keep)
-    X, _, ok = code.unique_decode_batch(arrays, erasures=known_bad)
-    if not np.all(ok):
-        raise ProtocolViolation("generalized broadcast failed to decode")
-    msgs = gf.mat_mul(f, X[:, : code.k], _msg_matrix(code))
-    return msgs.reshape(-1)
-
-
-def _msg_matrix(code):
-    """Inverse of the first k generator columns: codeword[:k] @ M = message."""
-    if not hasattr(code, "_minv"):
-        eye = np.eye(code.k, dtype=np.int64)
-        minv, ok = gf.solve_right(code.field, code.G[:, : code.k], eye)
+    # the decoder's refusals, which a block that verifies never reaches
+    if s > n - k:
+        raise ValueError("%d erasures exceed the %d parity symbols" % (s, n - k))
+    if arrays.shape[-1] != n:
+        raise ValueError("word length must be %d" % n)
+    clean = np.delete(np.arange(n), known_bad)
+    first, rest = clean[:k], clean[k:]
+    inv, _ = gf.solve_right(f, code.G[:, first], np.eye(k, dtype=np.int64))
+    # one product gives each row's message and its re-encoding on rest
+    out = gf.mat_mul(f, arrays[:, first],
+                     np.concatenate([inv, gf.mat_mul(f, inv, code.G[:, rest])], axis=1))
+    msgs = out[:, :k]
+    miss = np.nonzero(np.any(out[:, k:] != arrays[:, rest], axis=1))[0]
+    if miss.size:
+        X, _, ok = code.unique_decode_batch(arrays[miss], erasures=known_bad)
         if not np.all(ok):
-            raise AssertionError("Vandermonde block not invertible (unreachable)")
-        code._minv = minv
-    return code._minv
+            raise ProtocolViolation("generalized broadcast failed to decode")
+        msgs[miss] = gf.mat_mul(f, X[:, first], inv)
+    return msgs.reshape(-1)

@@ -65,11 +65,6 @@ def _by_chunks(fn, rows, width):
     return np.concatenate([fn(rows[i : i + step]) for i in range(0, max(len(rows), 1), step)])
 
 
-def rank_of(f, word):
-    """Rank over F_q of the deg x n coefficient matrix of a word."""
-    return int(rank_of_batch(f, np.asarray(word, dtype=np.int64)[None, :])[0])
-
-
 def rank_of_batch(f, words):
     """Ranks of a stack of words, shape (B, n) -> (B,).
 
@@ -106,7 +101,7 @@ class GabidulinCode(LinearCode):
             points = np.asarray(points, dtype=np.int64)
             if points.shape != (n,):
                 raise ValueError("expected %d evaluation points" % n)
-            if int(rank_of(f, points)) != n:
+            if rank_of_batch(f, points[None, :])[0] != n:
                 raise ValueError("evaluation points must be F_q-independent")
         self.n = n
         self.k = k

@@ -3,6 +3,7 @@
 import numpy as np
 
 from psmt import gf
+from psmt.channels import ProtocolViolation
 
 # the fields the code-level tests run over: two primes and two extensions
 CODE_FIELDS = [gf.field(11), gf.field(13), gf.field(2, 4), gf.field(3, 3)]
@@ -84,6 +85,27 @@ def unique_decode_oracle(code, Y, erasures=()):
     X[sel] = f.vsub(Y[sel], E[sel])
     ok[sel] = True
     return X, E, ok
+
+
+def gen_broadcast_decode_oracle(code, t, arrays, known_bad):
+    """Reference generalized broadcast decoder for m >= 1: every row through
+    code.unique_decode_batch with the known channels erased, and each
+    codeword read on its first k channels.  Same contract and outputs as
+    broadcast.gen_broadcast_decode, which must match it byte for byte,
+    refusals included."""
+    f = code.field
+    m = code.k - 1
+    known_bad = sorted(set(int(c) for c in known_bad))
+    s = len(known_bad)
+    if s < m:
+        raise ValueError("need at least %d known corrupted channels, got %d" % (m, s))
+    if s > t:
+        raise ProtocolViolation("more than t channels flagged as corrupted")
+    X, _, ok = code.unique_decode_batch(np.asarray(arrays, dtype=np.int64), erasures=known_bad)
+    if not np.all(ok):
+        raise ProtocolViolation("generalized broadcast failed to decode")
+    minv, _ = gf.solve_right(f, code.G[:, : code.k], np.eye(code.k, dtype=np.int64))
+    return gf.mat_mul(f, X[:, : code.k], minv).reshape(-1)
 
 
 def _poly_mul_oracle(f, a, b, size):

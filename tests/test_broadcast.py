@@ -1,12 +1,13 @@
 import collections
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from psmt import broadcast, gf, mds
 from psmt.channels import ProtocolViolation
-from helpers import contains
+from helpers import contains, gen_broadcast_decode_oracle
 
 
 def test_plain_encode_shapes():
@@ -189,6 +190,39 @@ def test_plain_decode_whole_channel_near_misses():
             broadcast.broadcast_decode(arrays, t)
 
 
+@pytest.mark.parametrize("n", [3, 11, 47])
+def test_plain_decode_repetition_view_matches_counter_oracle(n):
+    # an untouched broadcast arrives as the read-only repetition view: it
+    # decodes to its symbols with no keep and with keep subsets of every
+    # size, and raises with fewer than n - t kept channels, unless the block
+    # is empty and so has no row to refuse
+    t = (n - 1) // 2
+    rng = np.random.default_rng(n + 500)
+    for rows in (0, 1, 5, -(-broadcast._NARROW_MIN // n) + 1):
+        sent = broadcast.broadcast_encode(n, rng.integers(0, 2**40, size=rows))
+        for size in [None] + list(range(n + 1)):
+            keep = None if size is None else np.sort(rng.choice(n, size=size, replace=False))
+            _check_against_oracle(sent, t, keep, n - t)
+        got = broadcast.broadcast_decode(sent, t)
+        assert got.flags.writeable and not np.shares_memory(got, sent)
+
+
+def test_plain_decode_repetition_view_copies_no_kept_channels():
+    # the answer is the only block the decode allocates: the kept channels
+    # of a repetition view are never copied out
+    n, t, rows = 47, 23, 20_000
+    sent = broadcast.broadcast_encode(n, np.arange(rows))
+    for keep in (None, np.arange(1, n), list(range(t, n))):
+        tracemalloc.start()
+        try:
+            got = broadcast.broadcast_decode(sent, t, keep=keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == list(range(rows))
+        assert peak < 2 * rows * 8
+
+
 def test_gen_encode_m0_is_repetition():
     f = gf.field(7)
     c0 = mds.ReedSolomonCode(5, 1, f)
@@ -262,14 +296,23 @@ def test_gen_decode_argument_validation():
         broadcast.gen_broadcast_decode(code, 2, sent, [0])  # fewer than m known
     with pytest.raises(ProtocolViolation):
         broadcast.gen_broadcast_decode(code, 2, sent, [0, 1, 2])  # more than t
+    # with t past (n - 1) / 2, more erasures than parity symbols, and words
+    # of the wrong length, refused as the decoder refuses them
+    for t, arrays, known in [(4, sent, [0, 1, 2]), (2, sent[:, :4], [0, 1]),
+                             (2, np.hstack([sent, sent]), [0, 1])]:
+        got = _decode_outcome(broadcast.gen_broadcast_decode, code, t, arrays, known)
+        assert got[0] is ValueError
+        assert got == _decode_outcome(gen_broadcast_decode_oracle, code, t, arrays, known)
 
 
 def test_gen_decode_refuses_channels_out_of_range():
-    code = mds.ReedSolomonCode(5, 3, gf.field(7))
-    sent = broadcast.gen_broadcast_encode(code, [1, 2, 3])
-    for known in ([-1, 0], [0, 5]):
-        with pytest.raises(ValueError):
-            broadcast.gen_broadcast_decode(code, 2, sent, known)
+    # for every m, the plain broadcast's m = 0 included
+    for k, cases in [(3, ([-1, 0], [0, 5])), (1, ([-1], [5, 9]))]:
+        code = mds.ReedSolomonCode(5, k, gf.field(7))
+        sent = broadcast.gen_broadcast_encode(code, [1, 2, 3])
+        for known in cases:
+            with pytest.raises(ValueError, match=r"erasures must be positions 0\.\.4, got "):
+                broadcast.gen_broadcast_decode(code, 2, sent, known)
 
 
 def test_gen_decode_out_of_model_raises_or_is_caught():
@@ -287,6 +330,80 @@ def test_gen_decode_out_of_model_raises_or_is_caught():
         assert not np.array_equal(got, payload)
     except ProtocolViolation:
         pass
+
+
+def _decode_outcome(decode, code, t, arrays, known_bad):
+    """What a decode returns, as dtype, shape and bytes, or the type and
+    message of its refusal."""
+    try:
+        out = decode(code, t, arrays, known_bad)
+    except (ValueError, ProtocolViolation) as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _with_errors(f, rng, words, channels, count):
+    """words with count symbols on each row changed, at channels drawn from
+    the given ones."""
+    out = words.copy()
+    for row, e in zip(out, count):
+        at = rng.choice(channels, size=e, replace=False)
+        row[at] = f.vadd(row[at], rng.integers(1, f.q, size=e))
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 23])
+def test_gen_decode_matches_decode_everything_oracle(n, monkeypatch):
+    # every m in 1..t and s in m..t: blocks that mix rows with errors only
+    # on the erasures and rows with 1..radius errors outside them decode to
+    # the sent payload, the decoder seeing only the second kind; blocks with
+    # rows past the radius raise exactly where the oracle does.  Outputs
+    # match the oracle byte for byte, refusals by type and message
+    t = (n - 1) // 2
+    calls = []
+    decode = mds.ReedSolomonCode.unique_decode_batch
+
+    def counted(code, Y, erasures=()):
+        calls.append(len(Y))
+        return decode(code, Y, erasures)
+
+    monkeypatch.setattr(mds.ReedSolomonCode, "unique_decode_batch", counted)
+    rng = np.random.default_rng(n + 700)
+    fields = [gf.field(gf.next_prime_above(n))] + ([gf.field(2, 3)] if n <= 7 else [])
+    for f in fields:
+        for m in range(1, t + 1):
+            code = mds.ReedSolomonCode(n, m + 1, f)
+            for s in range(m, t + 1):
+                radius = (n - m - 1 - s) // 2
+                for _ in range(3):
+                    bad = np.sort(rng.choice(n, size=s, replace=False))
+                    clean = np.delete(np.arange(n), bad)
+                    payload = f.random(rng, 12 * (m + 1))
+                    recv = broadcast.gen_broadcast_encode(code, payload)
+                    recv[:, bad] = f.random(rng, (12, s))
+                    outside = rng.integers(0, radius + 1, size=12)
+                    mixed = _with_errors(f, rng, recv, clean, outside)
+                    past = _with_errors(f, rng, mixed, clean,
+                                        np.where(rng.random(12) < 0.3,
+                                                 rng.integers(radius + 1, len(clean) + 1, size=12),
+                                                 0))
+                    for arrays in (recv, mixed, mixed[:0], past):
+                        del calls[:]
+                        got = _decode_outcome(broadcast.gen_broadcast_decode, code, t, arrays, bad)
+                        if arrays is recv or arrays is mixed:
+                            assert got[2] == payload.tobytes()
+                            wrong = int(np.count_nonzero(outside)) if arrays is mixed else 0
+                            assert calls == ([wrong] if wrong else [])
+                        assert got == _decode_outcome(gen_broadcast_decode_oracle, code, t,
+                                                      arrays, bad), (f, m, s)
+            # the refusals: too few or too many known channels, and channels
+            # that do not exist
+            sent = broadcast.gen_broadcast_encode(code, f.random(rng, m + 1))
+            for known in (list(range(m - 1)), list(range(t + 1)), [-1] + list(range(m - 1)),
+                          list(range(m - 1)) + [n]):
+                got = _decode_outcome(broadcast.gen_broadcast_decode, code, t, sent, known)
+                assert got[0] in (ValueError, ProtocolViolation)
+                assert got == _decode_outcome(gen_broadcast_decode_oracle, code, t, sent, known)
 
 
 def _in_model_cases(n, t, rng, num):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psmt import gf, mds, protocols, pseudobasis
+from psmt import broadcast, gf, mds, protocols, pseudobasis
 from psmt.channels import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
@@ -128,6 +128,32 @@ def test_ledger_matches_closed_forms(n, l):
                     assert got == count, (name, runner.__name__, phase)
 
 
+# The abstract's headline, as total symbols (improved, basic) for one secret
+# against the targeted-syndrome adversary on t channels, so w = t: O(n^2)
+# for the improved protocol, Theta(n^3) for the basic one.
+HEADLINE_TOTALS = {5: (135, 95), 11: (693, 803), 23: (2_967, 6_647), 47: (12_267, 54_191),
+                   101: (56_358, 525_503)}
+
+
+@pytest.mark.parametrize("n", sorted(HEADLINE_TOTALS))
+def test_headline_totals_at_one_secret(n):
+    p = params_for(n)
+    t = p.t
+    # with q > n every word index is one digit
+    forms = [sum(formulas(n, t, 1, t, 1).values())
+             for formulas in (improved_cost_formulas, basic_cost_formulas)]
+    assert tuple(forms) == HEADLINE_TOTALS[n]
+    for runner, total in zip((run_improved, run_basic), HEADLINE_TOTALS[n]):
+        res = runner(p, np.array([1]), adversary=TargetedSyndromeAdversary(range(t), p.field),
+                     rng=np.random.default_rng(n))
+        assert np.array_equal(res.secrets, [1]) and res.stats["w"] == t
+        assert res.ledger.symbols() == total
+    improved, basic = HEADLINE_TOTALS[n]
+    assert (improved < basic) == (n >= 11)
+    if n == 101:
+        assert round(improved / n**2, 1) == 5.5 and round(basic / n**3, 2) == 0.51
+
+
 def test_basic_exhaustive_tiny_field():
     p = params_for(3, l=1, q=5)
     f = p.field
@@ -186,9 +212,11 @@ def test_improved_branches_both_taken():
 
 def test_decoder_calls_per_session(monkeypatch):
     # Alice decodes her pseudo-basis and masked words in one call; Bob then
-    # decodes the packed words and the packed syndromes, with the exposed
-    # channels erased.  Without errors only Alice's call is left, and the
-    # basic protocol decodes nothing.
+    # decodes the packed words, with the exposed channels erased, whose
+    # errors reach past them.  The packed syndromes carry errors only on the
+    # exposed channels and need no decoder call, unless a row has one
+    # elsewhere: then that row alone is decoded.  Without errors only
+    # Alice's call is left, and the basic protocol decodes nothing.
     p = params_for(11, l=3)
     calls, words = [], []
     decode = mds.ReedSolomonCode.unique_decode_batch
@@ -204,12 +232,33 @@ def test_decoder_calls_per_session(monkeypatch):
     res = run_improved(p, np.array([3, 4, 5]), adversary=adv, rng=rng, record_transcript=True)
     assert np.array_equal(res.secrets, [3, 4, 5])
     assert res.stats["w"] == 5 and res.stats["branch"] == "syndromes"
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert calls[0] == (5 + 3, 0)
     received = res.transcript.records[0][4]
     rows = res.stats["pb_indices"] + res.stats["masked_indices"]
     assert np.array_equal(words[0], received[rows])
-    assert calls[1][1] >= 1 and calls[2][1] == 5
+    assert calls[1][1] >= 1
+    # one symbol of the first packed-syndrome row changed on a channel
+    # outside the five exposed ones, within the decoding radius of 1
+    gen_decode = broadcast.gen_broadcast_decode
+    syndrome_k = ProtocolContext(p).m_syn + 1
+    changed = []
+
+    def one_more_error(code, t, arrays, known_bad):
+        if code.k == syndrome_k:
+            arrays = np.array(arrays)
+            arrays[0, 5] = p.field.vadd(arrays[0, 5], 1)
+            changed.append(arrays[:1])
+        return gen_decode(code, t, arrays, known_bad)
+
+    monkeypatch.setattr(broadcast, "gen_broadcast_decode", one_more_error)
+    calls.clear()
+    words.clear()
+    res = run_improved(p, np.array([3, 4, 5]), adversary=adv, rng=rng)
+    assert np.array_equal(res.secrets, [3, 4, 5]) and res.stats["support_size"] == 5
+    assert len(calls) == 3 and calls[2] == (1, 5)
+    assert np.array_equal(words[2], changed[0])
+    monkeypatch.setattr(broadcast, "gen_broadcast_decode", gen_decode)
     calls.clear()
     res = run_improved(p, np.array([3, 4, 5]), rng=rng)
     assert res.stats["w"] == 0 and calls == [(3, 0)]

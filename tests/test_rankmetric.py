@@ -45,7 +45,6 @@ from psmt.rankmetric import (
     rank_broadcast_code,
     rank_broadcast_decode,
     rank_broadcast_encode,
-    rank_of,
     rank_of_batch,
     run_rank_protocol,
 )
@@ -84,7 +83,7 @@ def test_rank_of_matches_row_reduction(p, m):
     got = rank_of_batch(f, words)
     for i in range(200):
         assert got[i] == _word_rank_oracle(f, words[i])
-        assert rank_of(f, words[i]) == got[i]
+        assert rank_of_batch(f, words[i : i + 1])[0] == got[i]
 
 
 def test_rank_of_outer_products():
@@ -95,11 +94,11 @@ def test_rank_of_outer_products():
         v = rng.integers(0, 2, size=6)
         v[int(rng.integers(0, 6))] = 1
         word = f.vmul(np.int64(c), v.astype(np.int64))
-        assert rank_of(f, word) == 1
+        assert rank_of_batch(f, word[None, :])[0] == 1
     # two coordinate-split rank-1 pieces stack to rank 2
     word = np.array([3, 0, 0, 7, 7, 0], dtype=np.int64)
-    assert rank_of(f, word) == 2
-    assert rank_of(f, f.zeros(6)) == 0
+    assert rank_of_batch(f, word[None, :])[0] == 2
+    assert rank_of_batch(f, f.zeros((1, 6)))[0] == 0
 
 
 @pytest.mark.parametrize("p,m", [(2, 3), (2, 4)])
@@ -177,7 +176,7 @@ def test_rank_broadcast_rank_two_breaks():
     bad = 0
     for e in ([1, 2, 0], [3, 0, 12], [0, 6, 1]):
         e = np.array([e], dtype=np.int64)
-        assert rank_of(f, e[0]) == 2
+        assert rank_of_batch(f, e)[0] == 2
         try:
             got = rank_broadcast_decode(bcode, 1, f.vadd(sent, e))
         except ProtocolViolation:
