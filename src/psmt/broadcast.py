@@ -96,8 +96,7 @@ def broadcast_decode(arrays, t, keep=None):
     runs = s[:, lo : lo + width] == s[:, lo + need - 1 : lo + need - 1 + width]
     if not runs.any(axis=1).all():
         raise ProtocolViolation("no channel-majority value; more than t rewrites")
-    # a slice, since an empty block may keep no channel at all
-    return s[:, mid : mid + 1].astype(np.int64).reshape(-1)
+    return s[:, mid].astype(np.int64)
 
 
 def gen_broadcast_encode(code, rows):
@@ -150,7 +149,9 @@ def gen_broadcast_decode(code, t, arrays, known_bad):
         raise ValueError("word length must be %d" % n)
     clean = np.delete(np.arange(n), known_bad)
     first, rest = clean[:k], clean[k:]
-    inv, _ = gf.solve_right(f, code.G[:, first], np.eye(k, dtype=np.int64))
+    inv, ok = gf.solve_right(f, code.G[:, first], np.eye(k, dtype=np.int64))
+    if not np.all(ok):
+        raise AssertionError("Vandermonde block not invertible (unreachable)")
     # one product gives each row's message and its re-encoding on rest
     out = gf.mat_mul(f, arrays[:, first],
                      np.concatenate([inv, gf.mat_mul(f, inv, code.G[:, rest])], axis=1))

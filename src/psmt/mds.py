@@ -110,16 +110,8 @@ class ReedSolomonCode(LinearCode):
         then restored too.  Words that do not decode come back as they are,
         with zero errors.  Berlekamp-Massey on the erasure-modified
         syndromes gives the error locator, a Chien search its roots, and
-        Forney's formula the errata values.
-
-        A word whose modified syndromes past the first s are all zero has
-        error locator 1: it skips Berlekamp-Massey and the Chien search, and
-        its errata values, on the erasures alone, are one product of its
-        first s modified syndromes with a matrix fixed by the erasures.
-        With no erasures the erasure locator is 1 and nothing is multiplied
-        by it.  Every word then meets the same final checks, and a word
-        they accept has one errata pattern within the radius, so the
-        outputs do not depend on the path that found it.
+        Forney's formula the errata values.  With no erasures the erasure
+        locator is 1 and nothing is multiplied by it.
         """
         f = self.field
         Y = np.asarray(Y, dtype=np.int64)
@@ -141,8 +133,9 @@ class ReedSolomonCode(LinearCode):
             return Y.copy(), E, ok
         S = syn[todo]
         nsyn = s + 2 * radius
-        err = f.zeros((todo.size, n))
-        good = np.ones(todo.size, dtype=bool)
+        if nsyn == 0:
+            # radius 0 and nothing erased: only the codewords decode
+            return Y.copy(), E, ok
         if s:
             # erasure locator Gamma(x) = prod (1 - p_j x), the same for every
             # word, as a Toeplitz matrix: row i holds x^i Gamma(x), so a row
@@ -157,41 +150,24 @@ class ReedSolomonCode(LinearCode):
             xi = gf.mat_mul(f, S[:, :nsyn], toep[:nsyn, :nsyn])
         else:
             xi = S[:, :nsyn]  # Gamma = 1
-        # words with Lambda = 1 (what Berlekamp-Massey returns on zeros):
-        # Forney with Psi = Gamma and Omega = Xi mod x^s, so on erasure i
-        # e_i = sum_j Xi_j p_i^-j * scale_i, where scale_i =
-        # -p_i / (Gamma'(1/p_i) * dual_mult[i]); Gamma' has no root at an
-        # erasure, since Gamma's roots are simple
-        plain = ~np.any(xi[:, s:], axis=1)
-        if s and plain.any():
-            ip = self.inv_pow[erased, :s]
-            dgamma = f.vmul(gamma[1:], self.deriv_mult[:s])
-            scale = f.vmul(self.forney_mult[erased],
-                           f.vinv(gf.mat_mul(f, ip, dgamma[:, None])[:, 0]))
-            forney = f.vmul(ip.T, scale[None, :])
-            err[np.ix_(plain, erased)] = gf.mat_mul(f, xi[plain, :s], forney)
-        rest = np.nonzero(~plain)[0]
-        if rest.size:
-            xr = xi[rest]
-            lam, deg = _berlekamp_massey(f, xr[:, s:])
-            lam = lam[:, : radius + 1]
-            # Chien search over the positions that are not erased
-            roots = (gf.mat_mul(f, lam, self.inv_pow[:, : radius + 1].T) == 0) & ~erased
-            # Forney, with errata locator Psi = Lambda * Gamma and evaluator
-            # Omega = Psi * S mod x^nsyn, of degree below s + radius in any
-            # word the checks accept: on the errata,
-            # e_i = -p_i * Omega(1/p_i) / (Psi'(1/p_i) * dual_mult[i]),
-            # numerators and denominators from one product
-            psi = gf.mat_mul(f, lam, toep[: radius + 1, : radius + s + 1]) if s else lam
-            omega = _poly_mul(f, lam, xr, s + radius)
-            dpsi = f.vmul(psi[:, 1:], self.deriv_mult[None, : radius + s])
-            num, den = np.split(gf.mat_mul(f, np.concatenate([omega, dpsi]),
-                                           self.inv_pow[:, : s + radius].T), 2)
-            den[den == 0] = 1  # on an erratum only in words the checks refuse
-            e = f.vmul(self.forney_mult, f.vmul(num, f.vinv(den)))
-            e[~(roots | erased)] = 0
-            err[rest] = e
-            good[rest] = roots.sum(axis=1) == deg
+        lam, deg = _berlekamp_massey(f, xi[:, s:])
+        lam = lam[:, : radius + 1]
+        # Chien search over the positions that are not erased
+        roots = (gf.mat_mul(f, lam, self.inv_pow[:, : radius + 1].T) == 0) & ~erased
+        # Forney, with errata locator Psi = Lambda * Gamma and evaluator
+        # Omega = Psi * S mod x^nsyn, of degree below s + radius in any
+        # word the checks accept: on the errata,
+        # e_i = -p_i * Omega(1/p_i) / (Psi'(1/p_i) * dual_mult[i]),
+        # numerators and denominators from one product
+        psi = gf.mat_mul(f, lam, toep[: radius + 1, : radius + s + 1]) if s else lam
+        omega = _poly_mul(f, lam, xi, s + radius)
+        dpsi = f.vmul(psi[:, 1:], self.deriv_mult[None, : radius + s])
+        num, den = np.split(gf.mat_mul(f, np.concatenate([omega, dpsi]),
+                                       self.inv_pow[:, : s + radius].T), 2)
+        den[den == 0] = 1  # on an erratum only in words the checks refuse
+        err = f.vmul(self.forney_mult, f.vmul(num, f.vinv(den)))
+        err[~(roots | erased)] = 0
+        good = roots.sum(axis=1) == deg
         # the last two checks alone make any accepted word a correct decode
         good &= np.count_nonzero(err[:, ~erased], axis=1) <= radius
         good &= ~np.any(self.syndrome(err) != S, axis=1)

@@ -195,12 +195,12 @@ def test_plain_decode_repetition_view_matches_counter_oracle(n):
     # an untouched broadcast arrives as the read-only repetition view: it
     # decodes to its symbols with no keep and with keep subsets of every
     # size, and raises with fewer than n - t kept channels, unless the block
-    # is empty and so has no row to refuse
+    # is empty and so has no row to refuse (an empty block keeps at least one)
     t = (n - 1) // 2
     rng = np.random.default_rng(n + 500)
     for rows in (0, 1, 5, -(-broadcast._NARROW_MIN // n) + 1):
         sent = broadcast.broadcast_encode(n, rng.integers(0, 2**40, size=rows))
-        for size in [None] + list(range(n + 1)):
+        for size in [None] + list(range(0 if rows else 1, n + 1)):
             keep = None if size is None else np.sort(rng.choice(n, size=size, replace=False))
             _check_against_oracle(sent, t, keep, n - t)
         got = broadcast.broadcast_decode(sent, t)

@@ -388,7 +388,8 @@ def _mixed_batch(code, rng, erased, per):
 ])
 def test_decoder_matches_reference_byte_for_byte(q, n, k, s):
     # the decoder against the frozen Berlekamp-Massey-on-every-word
-    # reference, on batches that mix words with locator 1 and words without
+    # reference, on batches that mix words whose errata all sit on the
+    # erasures and words with errors outside them
     code = mds.ReedSolomonCode(n, k, gf.field_of_order(q))
     rng = np.random.default_rng([q % 1000, n, k, s])
     erased = sorted(int(c) for c in rng.choice(n, size=s, replace=False))
