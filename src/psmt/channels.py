@@ -63,12 +63,11 @@ class CostLedger:
         key = (phase, direction)
         self.counts[key] = self.counts.get(key, 0) + int(nsymbols)
 
-    def symbols(self, phase=None, direction=None):
-        return sum(c for (ph, d), c in self.counts.items()
-                   if phase in (None, ph) and direction in (None, d))
+    def symbols(self):
+        return sum(self.counts.values())
 
-    def bits(self, phase=None, direction=None):
-        return self.symbols(phase, direction) * self.bits_per_symbol
+    def bits(self):
+        return self.symbols() * self.bits_per_symbol
 
     def rows(self):
         return [
@@ -86,12 +85,12 @@ class Transcript:
     def append(self, direction, phase, public, sent, delivered):
         self.records.append((direction, phase, bool(public), sent, delivered))
 
-    def write_log(self, fh, field=None):
+    def write_log(self, fh, field):
         """One JSON object per line; extension-field symbols become
         coefficient lists."""
 
         def ser(arr):
-            if field is not None and field.deg > 1:
+            if field.deg > 1:
                 return [[field.decode(int(v)) for v in row] for row in arr]
             return arr.tolist()
 

@@ -7,7 +7,8 @@ Three subcommands:
     psmt bench  sweep (n, l) and compare measured totals to the closed form
 
 Exit status: 0 on success / audit PASS, 1 on a reliability failure or audit
-FAIL, 2 on a validation error or an audit budget refusal.
+FAIL, 2 on a validation error, an audit budget refusal or an unwritable
+output.
 
 Every CSV starts with a schema-version line.  Symbol counts are integers;
 ratios appear as exact fractions "p/q" next to a fixed-format decimal column,
@@ -310,11 +311,14 @@ def cmd_bench(args):
 
 
 def _int_list(text):
-    return [int(x) for x in text.split(",") if x.strip()]
+    return [int(x) for x in _str_list(text)]
 
 
 def _str_list(text):
-    return [x.strip() for x in text.split(",") if x.strip()]
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return items
 
 
 def build_parser():
@@ -382,7 +386,7 @@ def main(argv=None):
         if args.trials < 1:  # run and bench; audit keeps the default
             raise ValueError("trials must be at least 1, got %d" % args.trials)
         return handler[args.command](args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

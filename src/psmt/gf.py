@@ -4,10 +4,10 @@ Elements are plain ints in [0, q).  For an extension field of degree m the int
 encodes the coefficient vector of the residue polynomial in little-endian base
 p: the element c0 + c1*x + ... + c_{m-1}*x^{m-1} has index sum(c_i * p^i).
 So 0 and 1 are the field's zero and one in every representation, and "smallest"
-always means smallest index.
+always means smallest index.  An extension field is always built over
+default_modulus(p, m).
 
-Scalar ops (add, mul, inv, ...) work on ints; the v-prefixed ops work on numpy
-int64 arrays of any shape and are what the coding layers use.
+The arithmetic is the v-prefixed ops, on numpy int64 arrays of any shape.
 """
 
 import numpy as np
@@ -66,7 +66,12 @@ class _FieldBase:
     """Shared plumbing; subclasses fill in the raw arithmetic."""
 
     def check_array(self, a):
-        a = np.asarray(a, dtype=np.int64)
+        """a as an int64 array, refusing non-integer input (which a cast
+        would truncate) and values outside [0, q)."""
+        a = np.asarray(a)
+        if a.size and a.dtype.kind not in "iu":
+            raise ValueError("expected integer field elements, got an array of %s" % a.dtype)
+        a = a.astype(np.int64, copy=False)
         if a.size and (a.min() < 0 or a.max() >= self.q):
             raise ValueError("array holds values outside %r" % (self,))
         return a
@@ -85,17 +90,6 @@ class _FieldBase:
         """c - a * b elementwise, broadcasting as numpy does: the update of
         every elimination step and of Berlekamp-Massey."""
         return self.vsub(c, self.vmul(a, b))
-
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
 
     def vdot(self, a, b):
         """Inner product along the last axis."""
@@ -133,22 +127,6 @@ class PrimeField(_FieldBase):
             self._inv_table = inv
         else:
             self._inv_table = None
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in %r" % self)
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
-        return pow(a, self.p - 2, self.p)
 
     def vadd(self, a, b):
         return _mod(a + b, self.p)
@@ -207,21 +185,21 @@ def _poly_trim(c):
     return c
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply coefficient lists mod (modulus, p).  modulus is monic."""
-    m = len(modulus) - 1
+def _poly_mul_mod(a, b, g, p):
+    """Multiply coefficient lists mod (g, p).  g is monic."""
+    m = len(g) - 1
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^m = -(modulus minus leading term)
+    # reduce: x^m = -(g minus leading term)
     for d in range(len(prod) - 1, m - 1, -1):
         c = prod[d]
         if c:
             prod[d] = 0
             for j in range(m):
-                prod[d - m + j] = (prod[d - m + j] - c * modulus[j]) % p
+                prod[d - m + j] = (prod[d - m + j] - c * g[j]) % p
     prod = prod[:m]
     return prod + [0] * (m - len(prod))
 
@@ -301,25 +279,18 @@ class ExtensionField(_FieldBase):
 
     _TABLE_LIMIT = 1 << 20
 
-    def __init__(self, p, m, modulus=None):
+    def __init__(self, p, m):
         if not is_prime(p):
             raise ValueError("characteristic %d is not prime" % p)
         if m < 2:
             raise ValueError("extension degree must be at least 2")
         if p ** m > self._TABLE_LIMIT:
             raise ValueError("field size %d exceeds table limit" % p ** m)
-        if modulus is None:
-            modulus = default_modulus(p, m)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree %d" % m)
-        if not poly_is_irreducible(list(modulus), p):
-            raise ValueError("modulus %r is reducible over F_%d" % (modulus, p))
         self.p = p
         self.m = m
         self.deg = m
         self.q = p ** m
-        self.modulus = modulus
+        self.modulus = default_modulus(p, m)
         self._pow_p = np.array([p ** i for i in range(m)], dtype=np.int64)
         self._build_tables()
         # direct product/sum tables keep hot loops to one fancy index each
@@ -368,44 +339,10 @@ class ExtensionField(_FieldBase):
             if ok and self._raw_mul(x, g) == 1:
                 log = np.zeros(q, dtype=np.int64)
                 log[exp] = np.arange(q - 1)
-                self.generator = g
                 self._exp = exp
                 self._log = log
                 return
         raise ValueError("no generator found (unreachable for a field)")
-
-    def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        r = 0
-        mul = 1
-        for _ in range(self.m):
-            r += ((a + b) % self.p) * mul
-            a //= self.p
-            b //= self.p
-            mul *= self.p
-        return r
-
-    def neg(self, a):
-        if self.p == 2:
-            return a
-        r = 0
-        mul = 1
-        for _ in range(self.m):
-            r += ((-a) % self.p) * mul
-            a //= self.p
-            mul *= self.p
-        return r
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in %r" % self)
-        return int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
 
     def _vadd_digits(self, a, b):
         r = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
@@ -461,37 +398,29 @@ class ExtensionField(_FieldBase):
             raise ZeroDivisionError("inverse of zero in %r" % self)
         return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def vfrob(self, a, i=1):
-        """a^(p^i) elementwise, the i-fold Frobenius."""
+    def vfrob(self, a):
+        """a^p elementwise, the Frobenius map."""
         a = np.asarray(a, dtype=np.int64)
-        e = self.p ** i
         nz = a != 0
         av = np.where(nz, a, 1)
-        r = self._exp[(self._log[av] * e) % (self.q - 1)]
+        r = self._exp[(self._log[av] * self.p) % (self.q - 1)]
         return np.where(nz, r, 0)
 
     def __repr__(self):
         return "F_%d^%d" % (self.p, self.m)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.m == self.m
-            and other.modulus == self.modulus
-        )
+        return isinstance(other, ExtensionField) and (other.p, other.m) == (self.p, self.m)
 
     def __hash__(self):
-        return hash(("ExtensionField", self.p, self.m, self.modulus))
+        return hash(("ExtensionField", self.p, self.m))
 
 
-def field(p, m=1, modulus=None):
+def field(p, m=1):
     """Build F_p (m == 1) or F_{p^m}.  Raises ValueError on bad parameters."""
     if m == 1:
-        if modulus is not None:
-            raise ValueError("modulus only applies to extension fields")
         return PrimeField(p)
-    return ExtensionField(p, m, modulus)
+    return ExtensionField(p, m)
 
 
 def field_of_order(q):

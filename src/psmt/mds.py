@@ -3,11 +3,10 @@ H . word, random codewords, Hamming weights); Reed-Solomon codes with unique
 decoding; and the privacy pair that hides one symbol from t observers.
 
 A Reed-Solomon code [n, k] here is the set of evaluations of degree < k
-polynomials at n distinct nonzero points (by default the n smallest nonzero
-field elements in index order).  The parity-check matrix comes from the dual
-GRS description: row r has entries u_i * pt_i^r where u_i = prod_{j != i}
-(pt_i - pt_j)^{-1}, so it is deterministic and its first row has all entries
-nonzero.
+polynomials at the n smallest nonzero field elements in index order, the
+points 1..n.  The parity-check matrix comes from the dual GRS description:
+row r has entries u_i * pt_i^r where u_i = prod_{j != i} (pt_i - pt_j)^{-1},
+so it is deterministic and its first row has all entries nonzero.
 """
 
 import numpy as np
@@ -37,10 +36,9 @@ class LinearCode:
         out = gf.mat_mul(self.field, flat, self.H.T)
         return out.reshape(word.shape[:-1] + (self.n - self.k,))
 
-    def random_codeword(self, rng, count=None):
-        """Uniformly random codeword(s) from a seeded generator."""
-        shape = (self.k,) if count is None else (count, self.k)
-        return self.encode(self.field.random(rng, shape))
+    def random_codeword(self, rng, count):
+        """count uniformly random codewords from a seeded generator."""
+        return self.encode(self.field.random(rng, (count, self.k)))
 
     def weights(self, words):
         """Hamming weights of a stack of words."""
@@ -48,20 +46,12 @@ class LinearCode:
 
 
 class ReedSolomonCode(LinearCode):
-    def __init__(self, n, k, f, points=None):
+    def __init__(self, n, k, f):
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n, got k=%d n=%d" % (k, n))
         if n >= f.q:
             raise ValueError("length %d needs more nonzero points than %r has" % (n, f))
-        if points is None:
-            points = np.arange(1, n + 1, dtype=np.int64)
-        else:
-            points = np.asarray(points, dtype=np.int64)
-            if points.shape != (n,):
-                raise ValueError("expected %d evaluation points" % n)
-            if np.any(points == 0) or len(set(points.tolist())) != n:
-                raise ValueError("evaluation points must be distinct and nonzero")
-            f.check_array(points)
+        points = np.arange(1, n + 1, dtype=np.int64)
         self.n = n
         self.k = k
         self.field = f

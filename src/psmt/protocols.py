@@ -164,7 +164,7 @@ def _masked_indices(num_words, pb_indices, l):
 def _check_secrets(params, secrets):
     """The l secrets as a flat int64 array, refusing any other count or
     out-of-field values."""
-    secrets = params.field.check_array(np.asarray(secrets, dtype=np.int64).reshape(-1))
+    secrets = params.field.check_array(secrets).reshape(-1)
     if secrets.shape != (params.l,):
         raise ValueError("expected %d secrets" % params.l)
     return secrets
@@ -176,11 +176,12 @@ def _round_one_words(code, num_words, rng, bob_words):
         if rng is None:
             rng = np.random.default_rng()
         return code.random_codeword(rng, num_words)
-    X = np.asarray(bob_words, dtype=np.int64)
+    X = np.asarray(bob_words)
     if X.shape != (num_words, code.n):
         raise ValueError("expected bob_words of shape (%d, %d), got %s"
                          % (num_words, code.n, X.shape))
-    if code.syndrome(code.field.check_array(X)).any():
+    X = code.field.check_array(X)
+    if code.syndrome(X).any():
         raise ValueError("bob_words must be codewords of the [%d, %d] code" % (code.n, code.k))
     return X
 

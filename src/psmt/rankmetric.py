@@ -69,40 +69,29 @@ def rank_of_batch(f, words):
     """Ranks of a stack of words, shape (B, n) -> (B,).
 
     A word of rank r has p^(n - r) combinations equal to zero (the kernel of
-    v -> word . v on F_p^n), so the rank is n - log_p of that count.  Words
-    too long for p^n combinations to fit one chunk are row-reduced one by
-    one."""
+    v -> word . v on F_p^n), so the rank is n - log_p of that count.  A code
+    word has n <= deg, so p^n <= q, within _CHUNK_ENTRIES; longer words are
+    refused."""
     words = np.asarray(words, dtype=np.int64)
-    nb, n = words.shape
+    n = words.shape[1]
     span = f.p**n
-    if span <= _CHUNK_ENTRIES:
-        zeros = _by_chunks(lambda w: np.count_nonzero(_combinations(f, w) == 0, axis=1),
-                           words, span)
-        return n - np.searchsorted(f.p ** np.arange(n + 1, dtype=np.int64), zeros)
-    base = gf.PrimeField(f.p)
-    out = np.zeros(nb, dtype=np.int64)
-    for i in range(nb):
-        mat = np.array([f.decode(int(v)) for v in words[i]], dtype=np.int64).T
-        out[i] = gf.mat_rank(base, mat)
-    return out
+    if span > _CHUNK_ENTRIES:
+        raise ValueError("%d^%d combinations per word exceed %d, the cap on one chunk"
+                         % (f.p, n, _CHUNK_ENTRIES))
+    zeros = _by_chunks(lambda w: np.count_nonzero(_combinations(f, w) == 0, axis=1),
+                       words, span)
+    return n - np.searchsorted(f.p ** np.arange(n + 1, dtype=np.int64), zeros)
 
 
 class GabidulinCode(LinearCode):
-    """[n, k] evaluations of polynomials sum a_i z^(q^i), i < k, at n
-    F_q-independent points (by default the first n monomial basis elements).
-    MRD with rank distance n - k + 1 when the extension degree is >= n.
-    Encoding and syndromes are LinearCode's; weights are ranks."""
+    """[n, k] evaluations of polynomials sum a_i z^(q^i), i < k, at the
+    first n monomial basis elements, which are F_q-independent.  MRD with
+    rank distance n - k + 1 when the extension degree is >= n.  Encoding
+    and syndromes are LinearCode's; weights are ranks."""
 
-    def __init__(self, n, k, f, points=None):
+    def __init__(self, n, k, f):
         _check_shape(n, k, f)
-        if points is None:
-            points = _monomials(n, f)
-        else:
-            points = np.asarray(points, dtype=np.int64)
-            if points.shape != (n,):
-                raise ValueError("expected %d evaluation points" % n)
-            if rank_of_batch(f, points[None, :])[0] != n:
-                raise ValueError("evaluation points must be F_q-independent")
+        points = _monomials(n, f)
         self.n = n
         self.k = k
         self.field = f

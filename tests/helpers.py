@@ -14,9 +14,67 @@ def elements(f):
     return range(f.q)
 
 
-def sub(f, a, b):
-    """Scalar a - b in f."""
-    return f.add(a, f.neg(b))
+# A scalar reference for the field's v-ops, built from the integer
+# representation alone: base-p digits and the modulus polynomial, with no
+# exp/log table and no call into psmt's arithmetic.
+
+
+def _digits(f, a):
+    """Base-p digits of the element index a, constant coefficient first."""
+    a = int(a)
+    return [a // f.p**i % f.p for i in range(f.deg)]
+
+
+def _index(f, digits):
+    return sum(int(c) * f.p**i for i, c in enumerate(digits))
+
+
+def add_oracle(f, a, b):
+    """a + b in f, digit by digit mod p."""
+    return _index(f, [(x + y) % f.p for x, y in zip(_digits(f, a), _digits(f, b))])
+
+
+def neg_oracle(f, a):
+    return _index(f, [-x % f.p for x in _digits(f, a)])
+
+
+def sub_oracle(f, a, b):
+    return add_oracle(f, a, neg_oracle(f, b))
+
+
+def mul_oracle(f, a, b):
+    """a * b in f: the product of the digit polynomials, reduced by the monic
+    modulus of an extension field."""
+    p, m = f.p, f.deg
+    if m == 1:
+        return int(a) * int(b) % p
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_digits(f, a)):
+        for j, y in enumerate(_digits(f, b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for d in range(2 * m - 2, m - 1, -1):
+        c = prod[d]
+        for j in range(m + 1):
+            prod[d - m + j] = (prod[d - m + j] - c * f.modulus[j]) % p
+    return _index(f, prod[:m])
+
+
+def pow_oracle(f, a, e):
+    """a^e in f for e >= 0, by repeated squaring with mul_oracle."""
+    r, base = 1, int(a)
+    while e:
+        if e & 1:
+            r = mul_oracle(f, r, base)
+        base = mul_oracle(f, base, base)
+        e >>= 1
+    return r
+
+
+def inv_oracle(f, a):
+    """1 / a in f, as a^(q-2)."""
+    if int(a) == 0:
+        raise ZeroDivisionError("inverse of zero in %r" % f)
+    return pow_oracle(f, a, f.q - 2)
 
 
 def contains(code, word):

@@ -373,7 +373,7 @@ def test_criterion_10():
     lines, planes = {}, []
     for v in all_vecs[1:]:
         lead = v[np.nonzero(v)[0][0]]
-        canon = tuple(f.vmul(np.int64(f.inv(int(lead))), v).tolist())
+        canon = tuple(f.vmul(f.vinv(lead), v).tolist())
         if canon not in lines:
             lines[canon] = f.vmul(np.arange(8, dtype=np.int64)[:, None],
                                   np.array(canon, dtype=np.int64)[None, :])

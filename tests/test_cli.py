@@ -152,11 +152,24 @@ def test_bench_sweep_within_bound(tmp_path, capsys):
         assert int(row["total_symbols_max"]) <= int(row["predicted_symbols"])
 
 
-def test_bench_empty_sweep_writes_header(tmp_path):
-    rc = main(["bench", "--n", "", "--out", str(tmp_path)])
-    assert rc == 0
-    lines = read_lines(tmp_path / "bench.csv")
-    assert len(lines) == 2  # schema line and header only
+@pytest.mark.parametrize("option", ["--n", "--l"])
+def test_bench_empty_sweep_refused(tmp_path, capsys, option):
+    # an empty list wrote a header-only bench.csv and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", option, "", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument %s: needs at least one value" % option in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # an OSError on the output directory was a bare traceback with exit 1,
+    # the status of a reliability failure
+    (tmp_path / "file").write_text("")
+    rc = main(["run", "--n", "3", "--out", str(tmp_path / "file" / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Not a directory" in err
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])

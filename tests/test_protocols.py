@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from psmt import broadcast, gf, mds, protocols, pseudobasis
+from psmt.rankmetric import RankParams, run_rank_protocol
 from psmt.channels import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
@@ -483,6 +484,33 @@ def test_round_one_word_count_checked():
             runner(p, [1], bob_words=words)
         res = runner(p, [1], bob_words=code.random_codeword(rng, num))
         assert list(res.secrets) == [1]
+
+
+@pytest.mark.parametrize("bad", [[1.7], [1.0], [1 + 0j], [True], ["1"], [None]],
+                         ids=["float", "whole-float", "complex", "bool", "str", "object"])
+def test_non_integer_input_refused(bad):
+    # a cast to int64 truncated these: run_basic delivered [1.7] as [1]
+    hp = SessionParams(3, 1, 1, gf.field(5))
+    rp = RankParams(3, 1, 1, gf.field(2, 4))
+    for runner, p in ((run_basic, hp), (run_improved, hp), (run_rank_protocol, rp)):
+        with pytest.raises(ValueError, match="integer field elements"):
+            runner(p, bad)
+        # Bob's round-one words too, as a float copy of real codewords
+        count = p.t + p.l + (runner is run_improved)
+        words = p.context().code.random_codeword(np.random.default_rng(0), count)
+        with pytest.raises(ValueError, match="integer field elements"):
+            runner(p, [1], bob_words=words.astype(np.float64))
+
+
+def test_narrow_integer_input_accepted():
+    hp = SessionParams(3, 1, 2, gf.field(5))
+    rp = RankParams(3, 1, 2, gf.field(2, 4))
+    for runner, p in ((run_basic, hp), (run_improved, hp), (run_rank_protocol, rp)):
+        for dtype in (np.int32, np.uint8):
+            count = p.t + p.l + (runner is run_improved)
+            words = p.context().code.random_codeword(np.random.default_rng(1), count)
+            res = runner(p, np.array([4, 1], dtype=dtype), bob_words=words.astype(dtype))
+            assert res.secrets.dtype == np.int64 and list(res.secrets) == [4, 1]
 
 
 def test_context_must_match_params():

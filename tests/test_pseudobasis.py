@@ -5,7 +5,7 @@ import pytest
 
 from psmt import gf, mds, pseudobasis
 from psmt.channels import ProtocolViolation
-from helpers import contains
+from helpers import contains, inv_oracle, mul_oracle
 
 
 def span_rank(f, rows):
@@ -17,7 +17,7 @@ def span_rank(f, rows):
         for b in basis:
             p = int(np.nonzero(b)[0][0])
             if r[p]:
-                r = f.vsub(r, f.vmul(f.mul(int(r[p]), f.inv(int(b[p]))), b))
+                r = f.vsub(r, f.vmul(mul_oracle(f, r[p], inv_oracle(f, b[p])), b))
         if r.any():
             basis.append(r)
     return len(basis)

@@ -124,10 +124,6 @@ def test_gabidulin_validation():
         GabidulinCode(3, 4, f)
     with pytest.raises(ValueError):
         GabidulinCode(3, 1, gf.field(7))
-    with pytest.raises(ValueError):
-        GabidulinCode(3, 1, f, points=np.array([1, 2, 3]))  # 3 = 1 ^ 2
-    with pytest.raises(ValueError):
-        GabidulinCode(3, 1, f, points=np.array([1, 2]))
 
 
 def test_privacy_pair_joint_uniformity():
@@ -467,7 +463,7 @@ def test_run_rank_protocol_refuses_wrong_bob_words():
         run_rank_protocol(p, [1], bob_words=words)
     # in the field but off the code: refused, not run to a wrong secret
     words = code.random_codeword(rng, 2)
-    words[0, 0] = p.field.add(int(words[0, 0]), 1)
+    words[0, 0] = p.field.vadd(words[0, 0], 1)
     with pytest.raises(ValueError, match="bob_words"):
         run_rank_protocol(p, [1], bob_words=words)
     res = run_rank_protocol(p, [1], bob_words=code.random_codeword(rng, 2))
@@ -602,7 +598,7 @@ def test_rank_broadcast_sampled_against_oracle(p, m, n, t):
 
 def test_rank_protocol_needs_no_row_reduction(monkeypatch):
     # the broadcast decoder and rank_of_batch count combinations; neither
-    # falls back to a per-word gf.mat_rank at these sizes
+    # calls gf.mat_rank
     def refuse(*args):
         raise AssertionError("gf.mat_rank called")
 
@@ -617,14 +613,26 @@ def test_rank_protocol_needs_no_row_reduction(monkeypatch):
 
 
 @pytest.mark.parametrize("limit", [40, 16])
-def test_rank_of_batch_chunks_and_row_reduction(monkeypatch, limit):
+def test_rank_of_batch_chunks_and_cap(monkeypatch, limit):
     # 40 entries: one F_2 word of length 5 per chunk; 16: too short for 2^5
-    # combinations, so each word is row-reduced
+    # combinations, so the words are refused, before any work
     monkeypatch.setattr(rankmetric, "_CHUNK_ENTRIES", limit)
     f = gf.field(2, 4)
     words = f.random(np.random.default_rng(8), (50, 5))
+    if limit < 2**5:
+        with pytest.raises(ValueError, match="2\\^5 combinations per word exceed 16"):
+            rank_of_batch(f, words)
+        return
     got = rank_of_batch(f, words)
     assert [int(r) for r in got] == [_word_rank_oracle(f, w) for w in words]
+
+
+def test_rank_of_batch_refuses_words_past_the_cap():
+    # a code word has n <= deg, so p^n <= q <= 2^20; 21 symbols of F_16 are
+    # no code word, and 2^21 combinations each would pass the cap
+    f = gf.field(2, 4)
+    with pytest.raises(ValueError, match="2\\^21 combinations per word exceed 1048576"):
+        rank_of_batch(f, f.zeros((1, 21)))
 
 
 # sha256 of the JSONL transcript of the rank protocol at n=3, t=1, l=2 over
