@@ -10,10 +10,11 @@ per array.  The adversary is fixed before the run, in one of two models:
   and t tamper vectors mu; she reads the lambda-combinations of every array
   and adds delta * mu to it.  Owning channel i is the case lambda = mu = e_i.
 
-One ChannelSession carries both: each model says how it taps and how its
-reply is injected, and the session keeps the ledger, the transcript and her
-view.  Phases marked public (broadcasts) are additionally counted as fully
-visible to her, so privacy audits over-approximate her view.
+Both keep one contract, stated on Adversary: her reply is a function of her
+view, and None delivers a transmission as sent.  One ChannelSession carries
+both and keeps the ledger, the transcript and her view.  Phases marked public
+(broadcasts) are additionally counted as fully visible to her, so privacy
+audits over-approximate her view.
 
 The session keeps a cost ledger (symbols and bits per phase and direction)
 and, optionally, a full transcript of sent/delivered arrays.
@@ -109,17 +110,32 @@ class Transcript:
             fh.write("\n")
 
 
-class AdversaryStrategy:
-    """Reads and rewrites only her own channels.
+class Adversary:
+    """The contract every adversary keeps, in either model.
 
-    tamper() receives the read-only (num_arrays, num_corrupted) block of
-    symbols she can see for one transmission and returns the block to deliver
-    instead; returning that block itself delivers the transmission as sent.
-    view is the accumulating list of everything she has seen so far this
-    session.
-    """
+    t is her share of the budget t, and check_length(n) refuses a shape that
+    does not fit n channels.  A session calls reset() once, at its start.
+    For each transmission, tap(arrays) is the block she reads; the session
+    appends it, read-only, to her view, the list of ("tap" or "public",
+    direction, phase, block) entries she has seen this session, and asks
+    tamper(direction, phase, taps, view) for her reply.  A reply of None
+    delivers the transmission as sent; any other is an integer block of the
+    taps' shape, which inject(arrays, taps, reply) applies.  This base is
+    the passive adversary: she only listens."""
 
     name = "passive"
+
+    def reset(self):
+        pass
+
+    def tamper(self, direction, phase, taps, view):
+        return None
+
+
+class AdversaryStrategy(Adversary):
+    """Reads and rewrites only her own channels: her taps are their columns
+    of each transmission, (num_arrays, num_corrupted), and her reply is what
+    those channels deliver instead."""
 
     def __init__(self, corrupted, field):
         self.corrupted = tuple(sorted(set(int(c) for c in corrupted)))
@@ -135,9 +151,6 @@ class AdversaryStrategy:
         if self.corrupted and (self.corrupted[0] < 0 or self.corrupted[-1] >= n):
             raise ValueError("corrupted channel index out of range")
 
-    def reset(self):
-        pass
-
     def tap(self, arrays):
         """Her columns of arrays, as a new array.  Indexing reads a
         repetition view (column stride 0) where it lies, which np.take
@@ -147,27 +160,18 @@ class AdversaryStrategy:
         taps at once."""
         return arrays[:, self._columns]
 
-    def reply(self, direction, phase, taps, view):
-        return self.tamper(direction, phase, taps, view)
-
     def inject(self, arrays, taps, reply):
         """arrays with her channels rewritten, built channel-major: each
         channel of arrays is copied into one row of an (n, rows) buffer, her
         rows are overwritten from reply, and the buffer's transpose, the same
         logical (rows, n) block, is delivered.  Both copies go in slabs of
-        _SLAB_ROWS arrays.  A reply that is her taps themselves (a passive
-        strategy) delivers arrays."""
-        if reply is taps:
-            return arrays
+        _SLAB_ROWS arrays."""
         buffer = np.empty(arrays.shape[::-1], dtype=np.int64)
         for start in range(0, len(arrays), _SLAB_ROWS):
             rows = slice(start, start + _SLAB_ROWS)
             buffer[:, rows] = arrays[rows].T
             buffer[self._columns, rows] = reply[rows].T
         return buffer.T
-
-    def tamper(self, direction, phase, observed, view):
-        return observed
 
 
 class PassiveAdversary(AdversaryStrategy):
@@ -202,42 +206,30 @@ class TargetedSyndromeAdversary(AdversaryStrategy):
 
     def tamper(self, direction, phase, observed, view):
         f = self.field
-        c = len(self.corrupted)
-        if c == 0:
-            return observed
         if direction == BOB_TO_ALICE:
             delta = np.zeros(observed.shape, dtype=np.int64)
             rows = np.arange(observed.shape[0])
-            delta[rows, rows % c] = 1 + rows % (f.q - 1)
+            delta[rows, rows % self.t] = 1 + rows % (f.q - 1)
             return f.vadd(observed, delta)
         return f.vadd(observed, 1)
 
 
+def first_tap(view):
+    """The first block she tapped this session, her round-1 taps."""
+    return next(block for kind, _, _, block in view if kind == "tap")
+
+
 class ReplayAdversary(AdversaryStrategy):
     """Round 1: delivers each word's predecessor on her channels (a shift).
-    Round 2: replays her recorded round-1 symbols in place of the broadcast
-    content."""
+    Round 2: replays her round-1 taps, the first tap in her view, in place
+    of the broadcast content."""
 
     name = "replay"
 
-    def __init__(self, corrupted, field):
-        super().__init__(corrupted, field)
-        self.memory = None
-
-    def reset(self):
-        self.memory = None
-
     def tamper(self, direction, phase, observed, view):
-        if len(self.corrupted) == 0:
-            return observed
         if direction == BOB_TO_ALICE:
-            if self.memory is None:
-                self.memory = observed.copy()
             return np.roll(observed, 1, axis=0)
-        if self.memory is None or self.memory.shape[0] == 0:
-            return observed
-        idx = np.arange(observed.shape[0]) % self.memory.shape[0]
-        return self.memory[idx]
+        return np.resize(first_tap(view), observed.shape)
 
 
 def builtin_adversaries():
@@ -263,9 +255,8 @@ class ChannelSession:
     """One protocol run's worth of transmissions over n channels.
 
     The adversary is either an AdversaryStrategy on at most t channels or a
-    GeneralizedAdversary with at most t vector pairs.  Both offer tap(arrays),
-    the block she reads; reply(direction, phase, taps, view), her answer of
-    the same shape; and inject(arrays, taps, reply), what gets delivered.
+    GeneralizedAdversary with at most t vector pairs, both keeping the
+    Adversary contract; she has her turn only when her share t is nonzero.
 
     The adversary (if any) is reset at session start.  Her accumulated view
     (taps plus public payloads) lives in eve_view; the transcript is recorded
@@ -311,13 +302,19 @@ class ChannelSession:
 
     def intercept(self, direction, phase, arrays, taps):
         """The adversary's turn on one transmission, given her taps of it:
-        records the taps and hands them to her reply read-only, so her view
-        keeps them as tapped; checks her reply; returns the delivered
-        arrays."""
+        records the taps and hands them to her tamper read-only, so her view
+        keeps them as tapped; returns the delivered arrays, arrays itself
+        for a reply of None, else her checked reply injected."""
         taps.setflags(write=False)
         self.eve_view.append(("tap", direction, phase, taps))
-        reply = np.asarray(self.adversary.reply(direction, phase, taps, self.eve_view),
-                           dtype=np.int64)
+        reply = self.adversary.tamper(direction, phase, taps, self.eve_view)
+        if reply is None:
+            return arrays
+        reply = np.asarray(reply)
+        if reply.dtype.kind not in "iu":
+            raise AdversaryFault("reply block holds %s symbols, expected integers"
+                                 % reply.dtype)
+        reply = reply.astype(np.int64, copy=False)
         if reply.shape != taps.shape:
             raise AdversaryFault("reply block has shape %r, expected %r"
                                  % (reply.shape, taps.shape))

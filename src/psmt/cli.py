@@ -189,7 +189,7 @@ def cmd_run(args):
                  "total_bits_max\n")
         fh.write("%s,%d,%d,%d,%d,%d,%s,%d,%d,%d,%s,%s,%s,%s,%d,%s,%s,%s,%s,%d,%d\n"
                  % (args.protocol, params.n, params.t, args.l, f.q,
-                    getattr(f, "deg", 1), args.adversary, args.trials,
+                    f.deg, args.adversary, args.trials,
                     args.seed, successes, _frac_str(srate), _dec_str(srate),
                     _frac_str(mean), _dec_str(mean), tmax, _frac_str(rate_mean),
                     _dec_str(rate_mean), _frac_str(rate_max), _dec_str(rate_max),
@@ -242,7 +242,7 @@ def cmd_audit(args):
             for name, rep in rows:
                 fh.write('%s,%d,%d,%d,%d,%d,%s,%d,%d,%d,"%s"\n'
                          % (args.protocol, params.n, params.t, args.l,
-                            params.field.q, getattr(params.field, "deg", 1),
+                            params.field.q, params.field.deg,
                             name, int(rep.passed), rep.runs, rep.num_views,
                             rep.detail))
     return 0 if all_passed else 1
@@ -311,7 +311,10 @@ def cmd_bench(args):
 
 
 def _int_list(text):
-    return [int(x) for x in _str_list(text)]
+    try:
+        return [int(x) for x in _str_list(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
 
 
 def _str_list(text):

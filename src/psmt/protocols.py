@@ -615,8 +615,9 @@ def _shared_runs(ctx, proto, adversary, X, secrets):
 
 def _snapshot(adversary):
     """A function putting the adversary back in her present state: a shallow
-    copy of her attributes, for state she reassigns (a replay memory), and
-    the state of each numpy Generator among them (her noise)."""
+    copy of her attributes, for state a strategy reassigns as she goes (no
+    built-in one does), and the state of each numpy Generator among them
+    (her noise)."""
     attrs = dict(vars(adversary))
     gens = [(g, g.bit_generator.state) for g in attrs.values() if isinstance(g, np.random.Generator)]
 

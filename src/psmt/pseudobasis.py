@@ -117,27 +117,24 @@ def extract_error_basis(code, pb, originals):
 
 
 def recover_error(code, basis, syndromes):
-    """Error vector(s) with the given syndrome(s) inside the basis span.
+    """Error vectors with the given syndromes inside the basis span.
 
-    syndromes is one vector of length n - k or a stack of them; returns the
-    matching error vector(s).  Raises ProtocolViolation when a syndrome is
+    syndromes is read as a stack of rows of length n - k; returns the
+    (rows, n) matching errors.  Raises ProtocolViolation when a syndrome is
     outside the span (the adversary left her channel set) or names an error
     of weight >= d."""
     f = code.field
-    syndromes = np.asarray(syndromes, dtype=np.int64)
-    single = syndromes.ndim == 1
-    targets = syndromes[None, :] if single else syndromes
+    syndromes = np.asarray(syndromes, dtype=np.int64).reshape(-1, code.n - code.k)
     if len(basis) == 0:
-        if np.any(targets):
+        if np.any(syndromes):
             raise ProtocolViolation("nonzero syndrome with an empty error basis")
-        out = f.zeros((targets.shape[0], code.n))
-        return out[0] if single else out
-    lam, ok = gf.solve_right(f, basis.syndromes.T, targets.T)
+        return f.zeros((syndromes.shape[0], code.n))
+    lam, ok = gf.solve_right(f, basis.syndromes.T, syndromes.T)
     if not np.all(ok):
         raise ProtocolViolation("syndrome outside the pseudo-basis span")
     errors = gf.mat_mul(f, lam.T, basis.errors)
     _check_below_distance(code, errors, "recovered")
-    return errors[0] if single else errors
+    return errors
 
 
 def _check_below_distance(code, errors, what):

@@ -21,8 +21,9 @@ error, in the code's own metric.
 
 The rest is shared with the Hamming setting too: GabidulinCode is an
 mds.LinearCode with the rank as its weight, transmissions run over
-channels.ChannelSession (GeneralizedAdversary supplies the taps arrays .
-lambda^T and the injection delta . mu), the privacy pair is
+channels.ChannelSession (GeneralizedAdversary keeps channels.Adversary's
+contract, with the taps arrays . lambda^T, deltas as her reply, and the
+injection delta . mu), the privacy pair is
 mds.PrivacyPair(GabidulinCode, n, t, f), and
 privacy_audit(params, run_rank_protocol, adversary)
 audits this setting, running the secret-independent prefix once per choice
@@ -34,7 +35,7 @@ import types
 import numpy as np
 
 from . import gf
-from .channels import ChannelSession, ProtocolViolation
+from .channels import Adversary, ChannelSession, ProtocolViolation, first_tap
 from .mds import LinearCode, PrivacyPair
 from .protocols import SessionParams, run_basic
 
@@ -205,12 +206,12 @@ def rank_broadcast_decode(bcode, t, arrays):
     return out
 
 
-class GeneralizedAdversary:
+class GeneralizedAdversary(Adversary):
     """Fixed eavesdrop vectors lambda^(i) and tamper vectors mu^(i) in F_q^n.
 
-    Per transmission she sees the lambda-combinations of every array and
-    answers with delta values; the channel adds sum_i delta[b, i] * mu^(i) to
-    array b.  Subclasses choose deltas."""
+    Her taps are the lambda-combinations of every array, (num_arrays, t);
+    her reply is deltas of that shape, and the channel adds
+    sum_i delta[b, i] * mu^(i) to array b.  Subclasses choose the deltas."""
 
     name = "rank-passive"
 
@@ -232,22 +233,11 @@ class GeneralizedAdversary:
         if self.lambdas.shape[1] != n or self.mus.shape != self.lambdas.shape:
             raise ValueError("lambda and mu must both be (t, %d) arrays" % n)
 
-    def reset(self):
-        pass
-
     def tap(self, arrays):
         return gf.mat_mul(self.field, arrays, self.lambdas.T)
 
-    def reply(self, direction, phase, taps, view):
-        return self.deltas(direction, phase, taps, view)
-
     def inject(self, arrays, taps, reply):
-        if not reply.any():
-            return arrays
         return self.field.vadd(arrays, gf.mat_mul(self.field, reply, self.mus))
-
-    def deltas(self, direction, phase, taps, view):
-        return np.zeros(taps.shape, dtype=np.int64)
 
 
 class RankPassiveAdversary(GeneralizedAdversary):
@@ -259,32 +249,22 @@ class RankFixedTamperAdversary(GeneralizedAdversary):
 
     name = "rank-fixed-tamper"
 
-    def deltas(self, direction, phase, taps, view):
+    def tamper(self, direction, phase, taps, view):
         out = np.zeros(taps.shape, dtype=np.int64)
         out[:] = np.arange(1, taps.shape[1] + 1) % self.field.q
         return out
 
 
 class RankTapReplayAdversary(GeneralizedAdversary):
-    """Replays her own recorded taps as deltas (view-dependent, so the
-    tampering varies with what was actually sent)."""
+    """Delivers her first transmission as sent, then replays its taps, the
+    first in her view, as deltas (view-dependent, so the tampering varies
+    with what was actually sent)."""
 
     name = "rank-tap-replay"
 
-    def __init__(self, lambdas, mus, f):
-        super().__init__(lambdas, mus, f)
-        self.memory = None
-
-    def reset(self):
-        self.memory = None
-
-    def deltas(self, direction, phase, taps, view):
-        if self.memory is None:
-            self.memory = taps.copy()
-            return np.zeros(taps.shape, dtype=np.int64)
-        flat = self.memory.reshape(-1)
-        idx = np.arange(taps.size) % flat.size
-        return flat[idx].reshape(taps.shape)
+    def tamper(self, direction, phase, taps, view):
+        first = first_tap(view)
+        return None if taps is first else np.resize(first, taps.shape)
 
 
 class RankNoiseAdversary(GeneralizedAdversary):
@@ -300,7 +280,7 @@ class RankNoiseAdversary(GeneralizedAdversary):
     def reset(self):
         self.rng = np.random.default_rng(self.seed)
 
-    def deltas(self, direction, phase, taps, view):
+    def tamper(self, direction, phase, taps, view):
         return self.field.random(self.rng, taps.shape)
 
 

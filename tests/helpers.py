@@ -3,7 +3,8 @@
 import numpy as np
 
 from psmt import gf
-from psmt.channels import ProtocolViolation
+from psmt.channels import BOB_TO_ALICE, AdversaryStrategy, ProtocolViolation
+from psmt.rankmetric import GeneralizedAdversary
 
 # the fields the code-level tests run over: two primes and two extensions
 CODE_FIELDS = [gf.field(11), gf.field(13), gf.field(2, 4), gf.field(3, 3)]
@@ -192,3 +193,68 @@ def _berlekamp_massey_oracle(f, S):
         L = np.where(grow, i + 1 - L, L)
         b = np.where(grow, d, b)
     return C, L
+
+
+def assert_same_run(a, b):
+    """Two RunResults with transcripts agree byte for byte: the secrets, the
+    view key, and every transmission, sent and delivered."""
+    assert np.array_equal(a.secrets, b.secrets) and a.view_key == b.view_key
+    assert len(a.transcript.records) == len(b.transcript.records)
+    for ra, rb in zip(a.transcript.records, b.transcript.records):
+        assert ra[:3] == rb[:3]
+        for x, y in zip(ra[3:], rb[3:]):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), ra[:2]
+
+
+# The replay strategies as they were when each kept a private memory of her
+# first taps, which reset() cleared.  The built-in ones read those taps from
+# her view instead, and must give the same runs byte for byte.
+
+
+class ReplayOracle(AdversaryStrategy):
+    """Round 1: delivers each word's predecessor on her channels (a shift).
+    Round 2: replays her recorded round-1 symbols in place of the broadcast
+    content."""
+
+    name = "replay"
+
+    def __init__(self, corrupted, field):
+        super().__init__(corrupted, field)
+        self.memory = None
+
+    def reset(self):
+        self.memory = None
+
+    def tamper(self, direction, phase, observed, view):
+        if len(self.corrupted) == 0:
+            return observed
+        if direction == BOB_TO_ALICE:
+            if self.memory is None:
+                self.memory = observed.copy()
+            return np.roll(observed, 1, axis=0)
+        if self.memory is None or self.memory.shape[0] == 0:
+            return observed
+        idx = np.arange(observed.shape[0]) % self.memory.shape[0]
+        return self.memory[idx]
+
+
+class RankTapReplayOracle(GeneralizedAdversary):
+    """Replays her own recorded taps as deltas, after zero deltas on the
+    transmission she records."""
+
+    name = "rank-tap-replay"
+
+    def __init__(self, lambdas, mus, f):
+        super().__init__(lambdas, mus, f)
+        self.memory = None
+
+    def reset(self):
+        self.memory = None
+
+    def tamper(self, direction, phase, taps, view):
+        if self.memory is None:
+            self.memory = taps.copy()
+            return np.zeros(taps.shape, dtype=np.int64)
+        flat = self.memory.reshape(-1)
+        idx = np.arange(taps.size) % flat.size
+        return flat[idx].reshape(taps.shape)

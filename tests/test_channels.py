@@ -11,6 +11,7 @@ from psmt.channels import (
     PHASE_MASKED,
     PHASE_PSEUDO_BASIS,
     PHASE_ROUND1,
+    Adversary,
     AdversaryFault,
     AdversaryStrategy,
     ChannelSession,
@@ -21,7 +22,11 @@ from psmt.channels import (
     TargetedSyndromeAdversary,
     builtin_adversaries,
 )
-from psmt.rankmetric import GeneralizedAdversary
+from psmt.rankmetric import (
+    GeneralizedAdversary,
+    RankPassiveAdversary,
+    RankTapReplayAdversary,
+)
 
 
 def make_session(n=5, t=2, corrupted=(0, 1), q=7, adv_cls=PassiveAdversary,
@@ -57,14 +62,88 @@ def test_session_rejects_mismatched_adversary():
 
 
 def test_passive_delivers_verbatim():
-    # her reply is her taps themselves, so the delivery is the sent array
-    # object, a plain block or a repetition view
+    # her reply is None, so the delivery is the sent array object, a plain
+    # block or a repetition view
     session, f = make_session()
     arrays = np.array([[1, 2, 3, 4, 5], [6, 0, 1, 2, 3]], dtype=np.int64)
     got = session.transmit(BOB_TO_ALICE, arrays, PHASE_ROUND1)
     assert got is arrays
     view = broadcast.broadcast_encode(5, [4, 0, 6])
     assert session.transmit(ALICE_TO_BOB, view, PHASE_MASKED, public=True) is view
+
+
+def test_reply_of_none_delivers_as_sent():
+    # in either model, a tamper that returns None delivers the sent object
+    # itself, and her view still holds her taps of it; the passive
+    # strategies of both models inherit that tamper from Adversary, and
+    # tap-replay answers None on her first transmission
+    f = gf.field(2, 4)
+    lam = np.array([[1, 1, 0]], dtype=np.int64)
+    assert PassiveAdversary.tamper is Adversary.tamper is RankPassiveAdversary.tamper
+    for adv in (PassiveAdversary((1,), f), RankPassiveAdversary(lam, lam, f),
+                RankTapReplayAdversary(lam, lam, f)):
+        session = ChannelSession(3, 1, f, adv)
+        sent = np.array([[1, 2, 3], [4, 5, 6]])
+        assert session.transmit(BOB_TO_ALICE, sent, PHASE_ROUND1) is sent
+        [(kind, direction, phase, taps)] = session.eve_view
+        assert (kind, direction, phase) == ("tap", BOB_TO_ALICE, PHASE_ROUND1)
+        assert np.array_equal(taps, adv.tap(sent)) and not taps.flags.writeable
+
+
+class Answers(AdversaryStrategy):
+    """Answers every transmission with block(taps)."""
+
+    def __init__(self, corrupted, field, block):
+        super().__init__(corrupted, field)
+        self.block = block
+
+    def tamper(self, direction, phase, observed, view):
+        return self.block(observed)
+
+
+class RankAnswers(GeneralizedAdversary):
+    """Answers every transmission with block(taps) as deltas."""
+
+    def __init__(self, lambdas, mus, f, block):
+        super().__init__(lambdas, mus, f)
+        self.block = block
+
+    def tamper(self, direction, phase, taps, view):
+        return self.block(taps)
+
+
+def _answer_sessions(block):
+    """A coordinate session over F_7 and a generalized one over F_16, each
+    on n = 3 with her answer block(taps)."""
+    f7, f16 = gf.field(7), gf.field(2, 4)
+    lam = np.array([[1, 1, 0]], dtype=np.int64)
+    return [ChannelSession(3, 1, f7, Answers((0,), f7, block)),
+            ChannelSession(3, 1, f16, RankAnswers(lam, lam, f16, block))]
+
+
+@pytest.mark.parametrize("block, dtype", [
+    (lambda taps: taps + 0.5, "float64"),
+    (lambda taps: np.ones(taps.shape, dtype=bool), "bool"),
+    (lambda taps: taps.astype(object), "object"),
+])
+def test_non_integer_reply_refused(block, dtype):
+    # a reply of floats, bools or objects is a fault naming its dtype, in
+    # either model; a cast to int64 would truncate observed + 0.5 to the
+    # sent values and take bools as ones
+    for session in _answer_sessions(block):
+        with pytest.raises(AdversaryFault, match=dtype):
+            session.transmit(BOB_TO_ALICE, np.array([[1, 2, 3]]), PHASE_ROUND1)
+
+
+def test_narrow_integer_reply_accepted():
+    # an int32 reply is delivered exactly as the same int64 one
+    sent = np.array([[1, 2, 3], [4, 5, 6]])
+    narrow = _answer_sessions(lambda taps: (taps + 1).astype(np.int32) % 7)
+    wide = _answer_sessions(lambda taps: (taps + 1) % 7)
+    for a, b in zip(narrow, wide):
+        got = a.transmit(BOB_TO_ALICE, sent, PHASE_ROUND1)
+        assert np.array_equal(got, b.transmit(BOB_TO_ALICE, sent, PHASE_ROUND1))
+        assert not np.array_equal(got, sent)
 
 
 class WriteNine(AdversaryStrategy):

@@ -162,6 +162,16 @@ def test_bench_empty_sweep_refused(tmp_path, capsys, option):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_non_integer_list_refused(tmp_path, capsys):
+    # argparse reports the expected form, not the helper that parses it
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "5,x", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n: expected comma-separated integers, got '5,x'" in err
+    assert "_int_list" not in err and not list(tmp_path.iterdir())
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     # an OSError on the output directory was a bare traceback with exit 1,
     # the status of a reliability failure

@@ -16,6 +16,7 @@ from psmt.channels import (
     ChannelSession,
     CostLedger,
     PassiveAdversary,
+    ReplayAdversary,
     TargetedSyndromeAdversary,
     builtin_adversaries,
     view_bytes,
@@ -35,6 +36,8 @@ from psmt.protocols import (
     run_improved,
     special_word_search,
 )
+
+from helpers import ReplayOracle, assert_same_run
 
 
 def params_for(n, l=1, q=None):
@@ -632,3 +635,21 @@ def test_basic_n47_memory_peak():
         tracemalloc.stop()
     assert np.array_equal(res.secrets, secrets)
     assert peak < 48 * 2**20, "peak %.1f MiB" % (peak / 2**20)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("runner", [run_basic, run_improved])
+def test_replay_matches_memory_keeping_oracle(runner, n):
+    # the replay strategy reads her round-1 taps from her view; the strategy
+    # that kept them in a memory of her own must give the same runs, byte for
+    # byte.  One object of each serves every seed, so the oracle's reset
+    # counts too
+    params = params_for(n, l=n)
+    chans = tuple(range(1, params.t + 1))
+    replay, oracle = ReplayAdversary(chans, params.field), ReplayOracle(chans, params.field)
+    for seed in range(4):
+        secrets = params.field.random(np.random.default_rng(100 + seed), params.l)
+        new, old = (runner(params, secrets, adversary=adv, rng=np.random.default_rng(seed),
+                           record_transcript=True) for adv in (replay, oracle))
+        assert np.array_equal(new.secrets, secrets)
+        assert_same_run(new, old)

@@ -158,10 +158,10 @@ def test_recover_zero_syndrome():
     e1 = np.array([1, 0, 0, 0, 0], dtype=np.int64)
     e2 = np.array([0, 1, 0, 0, 0], dtype=np.int64)
     eb = _basis_from(code, [e1, e2])
-    assert not pseudobasis.recover_error(code, eb, f.zeros(2)).any()
+    assert not pseudobasis.recover_error(code, eb, f.zeros(2)[None, :])[0].any()
     # empty basis also maps zero to zero
     empty = _basis_from(code, [])
-    assert not pseudobasis.recover_error(code, empty, f.zeros(2)).any()
+    assert not pseudobasis.recover_error(code, empty, f.zeros(2)[None, :])[0].any()
 
 
 def test_recover_combination():
@@ -171,7 +171,7 @@ def test_recover_combination():
     e2 = np.array([0, 1, 0, 0, 0], dtype=np.int64)
     eb = _basis_from(code, [e1, e2])
     target = f.vadd(e1, f.vmul(np.int64(3), e2))
-    got = pseudobasis.recover_error(code, eb, code.syndrome(target[None, :])[0])
+    got = pseudobasis.recover_error(code, eb, code.syndrome(target[None, :]))[0]
     assert np.array_equal(got, target)
     # batch form agrees with single calls
     targets = np.stack([target, e1, f.zeros(5)])
@@ -187,10 +187,10 @@ def test_recover_outside_span_raises():
     eb = _basis_from(code, [e1])
     outside = np.array([0, 0, 1, 0, 0], dtype=np.int64)
     with pytest.raises(ProtocolViolation):
-        pseudobasis.recover_error(code, eb, code.syndrome(outside[None, :])[0])
+        pseudobasis.recover_error(code, eb, code.syndrome(outside[None, :]))
     empty = _basis_from(code, [])
     with pytest.raises(ProtocolViolation):
-        pseudobasis.recover_error(code, empty, code.syndrome(outside[None, :])[0])
+        pseudobasis.recover_error(code, empty, code.syndrome(outside[None, :]))
 
 
 def test_syndrome_injective_on_common_support():
@@ -348,4 +348,4 @@ def test_recover_refuses_error_at_distance():
     eb = pseudobasis.ErrorBasis([0, 1], errors, code.syndrome(errors),
                                 np.array([0, 1, 2, 3], dtype=np.int64))
     with pytest.raises(ProtocolViolation, match="weight 4"):
-        pseudobasis.recover_error(code, eb, code.syndrome(f.vadd(errors[0], errors[1])))
+        pseudobasis.recover_error(code, eb, code.syndrome(f.vadd(errors[0], errors[1]))[None, :])

@@ -40,6 +40,7 @@ from psmt.rankmetric import (
     RankFixedTamperAdversary,
     RankParams,
     RankPassiveAdversary,
+    RankTapReplayAdversary,
     random_generalized_adversary,
     rank_audit_adversaries,
     rank_broadcast_code,
@@ -48,6 +49,8 @@ from psmt.rankmetric import (
     rank_of_batch,
     run_rank_protocol,
 )
+
+from helpers import RankTapReplayOracle, assert_same_run
 
 
 def _rref_rank(p, mat):
@@ -234,7 +237,7 @@ def test_rank_pseudo_basis_and_recovery():
     assert np.array_equal(eb.errors, np.stack([e1, e2]))
     # a fresh word hit by e1 + e2 decomposes in the span
     syn = code.syndrome(f.vadd(x[0], f.vadd(e1, e2)))
-    rec = recover_error(code, eb, f.vsub(syn, code.syndrome(x[0])))
+    rec = recover_error(code, eb, f.vsub(syn, code.syndrome(x[0]))[None, :])[0]
     assert np.array_equal(rec, f.vadd(e1, e2))
 
 
@@ -306,6 +309,28 @@ def test_rank_protocol_reliability():
         secrets = p2.field.random(rng, 2)
         res = run_rank_protocol(p2, secrets, adversary=adv, rng=rng, context=ctx2)
         assert np.array_equal(res.secrets, secrets), seed
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_tap_replay_matches_memory_keeping_oracle(n):
+    # the tap-replay strategy reads her first taps from her view; the
+    # strategy that kept them in a memory of her own must give the same runs,
+    # byte for byte, over random eavesdrop and tamper vectors.  Each object
+    # runs twice, so the oracle's reset counts too
+    p = RankParams(n, (n - 1) // 2, n, gf.field(2, n + 1))
+    ctx = RankContext(p)
+    for seed in range(4):
+        rng = np.random.default_rng([23, seed])
+        vecs = random_generalized_adversary(n, p.t, p.field, rng)
+        advs = [cls(vecs.lambdas, vecs.mus, p.field)
+                for cls in (RankTapReplayAdversary, RankTapReplayOracle)]
+        for trial in range(2):
+            secrets = p.field.random(rng, p.l)
+            new, old = (run_rank_protocol(p, secrets, adversary=adv, context=ctx,
+                                          rng=np.random.default_rng([seed, trial]),
+                                          record_transcript=True) for adv in advs)
+            assert np.array_equal(new.secrets, secrets)
+            assert_same_run(new, old)
 
 
 def test_rank_ledger_closed_forms():
@@ -477,7 +502,7 @@ class BadDeltas(GeneralizedAdversary):
         super().__init__(lambdas, mus, f)
         self.block = block
 
-    def deltas(self, direction, phase, taps, view):
+    def tamper(self, direction, phase, taps, view):
         if phase != PHASE_MASKED:
             return np.zeros(taps.shape, dtype=np.int64)
         return self.block(taps)

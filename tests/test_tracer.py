@@ -8,7 +8,12 @@ import pathlib
 import numpy as np
 
 from psmt import gf, mds, protocols, rankmetric
-from psmt.channels import TargetedSyndromeAdversary
+from psmt.channels import (
+    PassiveAdversary,
+    RandomNoiseAdversary,
+    ReplayAdversary,
+    TargetedSyndromeAdversary,
+)
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -68,3 +73,27 @@ def test_tracer_spans_one_rank_session():
     assert np.array_equal(res.secrets, [5, 6])
     assert tr.counts["rankmetric.run.calls"] == 1
     assert tr.counts["rankmetric.transmit.calls"] > 0
+
+
+def test_tracer_spans_every_tampering_strategy():
+    # the tracer wraps tamper in the class body of each coordinate strategy;
+    # a strategy whose tamper moved to a base class would drop out of
+    # channels.tamper here.  The passive one inherits Adversary's, which the
+    # tracer leaves alone
+    tracer = _load_tracer()
+    params = protocols.SessionParams(5, 2, 2, gf.field(7))
+    f = params.field
+    cases = [(RandomNoiseAdversary((0, 3), f, 9), True),
+             (TargetedSyndromeAdversary((0, 3), f), True),
+             (ReplayAdversary((0, 3), f), True),
+             (PassiveAdversary((0, 3), f), False)]
+    for adversary, spanned in cases:
+        tr = tracer.Tracer()
+        tr.install()
+        try:
+            res = protocols.run_basic(params, np.array([1, 2]), adversary=adversary,
+                                      rng=np.random.default_rng(6))
+        finally:
+            tr.uninstall()
+        assert np.array_equal(res.secrets, [1, 2])
+        assert (tr.counts["channels.tamper.calls"] >= 1) == spanned, adversary.name
