@@ -6,7 +6,8 @@ decoding is exact.  The n copies are never written out: a plain broadcast is
 sent as a read-only (arrays, n) view with column stride 0 over the symbols,
 and since no layer writes into a sent block (the adversary's rewrites go into
 a channel-major copy), the ledger, the transcript and her view all read the
-same logical block of n copies.  A block no one rewrote arrives as that
+same logical block of n copies; her taps of it are a view of its one column,
+and nothing copies them.  A block no one rewrote arrives as that
 view, and its one column is the answer.  Every honest channel delivers the
 sent column whole, so a large rewritten block is decoded by whole channels:
 when n - t kept channels agree in every row, one of them is the answer.  A

@@ -152,12 +152,14 @@ class AdversaryStrategy(Adversary):
             raise ValueError("corrupted channel index out of range")
 
     def tap(self, arrays):
-        """Her columns of arrays, as a new array.  Indexing reads a
-        repetition view (column stride 0) where it lies, which np.take
-        would first copy out whole.  The result is column-major; every
-        reader takes its values in logical order (a copy, tobytes, inject's
-        slabs), and a copy to row order would hold a second block of her
-        taps at once."""
+        """Her columns of arrays.  Every column of a repetition view
+        (column stride 0, a plain broadcast) is the one sent column, so her
+        taps of it are its first len(corrupted) columns: a read-only view of
+        the sent symbols, equal to her columns byte for byte, and nothing is
+        copied.  Of any other block they are her columns by index, a new
+        array."""
+        if arrays.strides[1] == 0:
+            return arrays[:, :len(self.corrupted)]
         return arrays[:, self._columns]
 
     def inject(self, arrays, taps, reply):
@@ -284,7 +286,8 @@ class ChannelSession:
         The block is kept as given in the ledger, the transcript and her
         view, and no layer writes into it: a plain broadcast arrives as a
         read-only view with column stride 0 (broadcast.broadcast_encode),
-        and the adversary's rewrites go into a copy."""
+        her taps of it are a view of its one column, and the adversary's
+        rewrites go into a copy."""
         arrays = np.asarray(arrays, dtype=np.int64)
         if arrays.ndim != 2 or arrays.shape[1] != self.n:
             raise ValueError("transmission must be a stack of length-%d arrays" % self.n)

@@ -388,6 +388,10 @@ def main(argv=None):
     try:
         if args.trials < 1:  # run and bench; audit keeps the default
             raise ValueError("trials must be at least 1, got %d" % args.trials)
+        if args.seed < 0:
+            raise ValueError("seed must be non-negative, got %d" % args.seed)
+        if getattr(args, "budget", 0) < 0:  # audit only
+            raise ValueError("budget must be non-negative, got %d" % args.budget)
         return handler[args.command](args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

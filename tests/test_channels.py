@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,23 +362,66 @@ def test_inject_matches_column_assignment(size):
 @pytest.mark.parametrize("size", [0, 1, 23])
 def test_tap_matches_take(size):
     # her taps of a repetition view and of a plain block: byte-equal to
-    # np.take of her columns, in one contiguous block of their own
+    # np.take of her columns; of a plain block in one contiguous block of
+    # their own, of a repetition view a read-only view of its one column
+    # (an empty view shares no bytes)
     f = gf.field(53)
     rng = np.random.default_rng(size + 100)
     adv = AdversaryStrategy(rng.permutation(47)[:size].tolist(), f)
     for rows in (0, 3, 2232):
-        for arrays in (broadcast.broadcast_encode(47, f.random(rng, rows)),
-                       f.random(rng, (rows, 47))):
+        for repetition, arrays in ((True, broadcast.broadcast_encode(47, f.random(rng, rows))),
+                                   (False, f.random(rng, (rows, 47)))):
             taps = adv.tap(arrays)
             want = np.take(arrays, adv.corrupted, axis=1)
             assert taps.dtype == np.int64 and taps.shape == want.shape
             assert taps.tobytes() == want.tobytes()
-            assert taps.flags.c_contiguous or taps.flags.f_contiguous
-            assert not np.shares_memory(taps, arrays)
+            if repetition:
+                assert taps.strides[1] == 0
+                assert np.shares_memory(taps, arrays) == (taps.size > 0)
+                assert not taps.flags.writeable
+            else:
+                assert taps.flags.c_contiguous or taps.flags.f_contiguous
+                assert not np.shares_memory(taps, arrays)
+
+
+def test_taps_read_only_and_sent_unchanged():
+    # a random-noise session over a plain block and a repetition view: her
+    # taps of either refuse writes, and every sent block keeps its symbols
+    session, f = make_session(n=7, t=3, corrupted=(6, 0, 3), q=11,
+                              adv_cls=RandomNoiseAdversary, seed=3)
+    rng = np.random.default_rng(4)
+    sent = [f.random(rng, (5, 7)), broadcast.broadcast_encode(7, f.random(rng, 5))]
+    before = [arrays.copy() for arrays in sent]
+    for arrays in sent:
+        session.transmit(ALICE_TO_BOB, arrays, PHASE_MASKED, public=True)
+    taps = [block for kind, _, _, block in session.eve_view if kind == "tap"]
+    assert len(taps) == 2 and taps[1].strides[1] == 0
+    for block in taps:
+        with pytest.raises(ValueError):
+            block[0, 0] = 1
+    assert all(np.array_equal(a, b) for a, b in zip(sent, before))
+
+
+def test_random_noise_tap_of_repetition_view_allocates_reply_and_delivery():
+    # one random-noise transmission of basic-n47's masked block: her taps
+    # are not copied, so the peak is her reply plus the delivered block
+    n, t, rows = 47, 23, 53_016
+    f = gf.field(53)
+    session = ChannelSession(n, t, f, RandomNoiseAdversary(range(1, 2 * t, 2), f, 7))
+    sent = broadcast.broadcast_encode(n, f.random(np.random.default_rng(8), rows))
+    tracemalloc.start()
+    try:
+        got = session.transmit(ALICE_TO_BOB, sent, PHASE_MASKED, public=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (rows, n)
+    assert peak <= 8 * rows * (n + t) + 2**20
 
 
 @pytest.mark.parametrize("adv_cls,kw", [(RandomNoiseAdversary, {"seed": 5}),
-                                        (ReplayAdversary, {}), (PassiveAdversary, {})])
+                                        (ReplayAdversary, {}), (PassiveAdversary, {}),
+                                        (TargetedSyndromeAdversary, {})])
 def test_repetition_view_and_block_send_alike(adv_cls, kw):
     # a session sending the read-only repetition view records the same
     # view key, transcript log and deliveries as one sending n copies

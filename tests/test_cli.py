@@ -191,6 +191,24 @@ def test_zero_trials_refused(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--n", "5", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["bench", "--n", "5", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["audit", "--n", "3", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["audit", "--n", "3", "--budget", "-5"], "budget must be non-negative, got -5"),
+])
+def test_negative_seed_and_budget_refused(tmp_path, capsys, argv, message):
+    # refused up front for every command: a negative seed reached numpy's
+    # bare "expected non-negative integer" in run and bench (audit offsets
+    # its noise seed, so only seeds below -12345 failed there), and a
+    # negative budget was reported as an audit refusal on stdout
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err == "error: %s\n" % message and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bench_bad_l_token(tmp_path, capsys):
     rc = main(["bench", "--n", "5", "--l", "square", "--out", str(tmp_path)])
     assert rc == 2
